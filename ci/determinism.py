@@ -46,25 +46,13 @@ def _run_once(facility_kwargs=None):
         load_fraction=0.6, duration=_RUN_DURATION, warmup=0.2, seed=7,
         facility_kwargs=facility_kwargs,
     )
-    primary = run.facility.primary
-    fingerprint = {
-        "coefficients": tuple(
-            (name, float(watts))
-            for name, watts in sorted(calibration.cmax_table().items())
-        ),
-        "idle_watts": calibration.idle_watts,
-        "n_requests": len(run.driver.results),
-        "energies": tuple(r.energy(primary) for r in run.driver.results),
-        "response_times": tuple(r.response_time for r in run.driver.results),
-        "measured_joules": run.measured_active_joules,
-    }
-    return fingerprint
+    return run.report(calibration)
 
 
 #: Chaos scenarios double-run by the gate: one metered single-machine
 #: scenario (meter faults + guards), the cluster crash/failover path, and
 #: the overload world (the shed set and brownout ladder must replay --
-#: ``shed_fingerprint`` and every ``powercap_*`` counter are in the report).
+#: the shed-set digest and every ``powercap_*`` counter are in the report).
 _CHAOS_SCENARIOS = ("meter-nan-burst", "cluster-crash", "arrival-storm")
 _CHAOS_SEED = 42
 

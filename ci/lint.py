@@ -20,6 +20,10 @@ other automated guard in this repo:
   carries a ``# hot-path`` marker -- each comprehension allocates a fresh
   container per sample on paths that run per context switch / overflow;
   hot functions use preallocated buffers and explicit loops instead
+* ``H200`` ``hashlib`` imported under ``src/repro`` outside
+  ``repro/fingerprint.py`` -- every run/report digest goes through its one
+  encoder and hash; the seed-derivation and byte-integrity files that pin
+  bytes rather than values sit on an explicit allowlist
 
 Run:  ``python -m ci lint [--fix]``
 """
@@ -52,6 +56,22 @@ _HOT_PATH_PREFIXES = tuple(
 #: because they are cold paths (setup, reporting -- run per experiment, not
 #: per sample).  Additions need a comment saying why the path is cold.
 _FIELDS_ALLOWLIST: set[tuple[str, str]] = set()
+
+
+#: Files under ``src/repro`` allowed to import ``hashlib`` (H200).  Digests
+#: of values go through ``repro.fingerprint``; the others pin exact bytes,
+#: so a value-canonical encoding is the wrong tool for them.
+_HASHLIB_ALLOWLIST = {
+    # The one value-canonical encoder, hash and chain.
+    "src/repro/fingerprint.py",
+    # Seed derivation: pinned values that drive every random stream.
+    "src/repro/sim/rng.py",
+    "src/repro/analysis/parallel.py",
+    "src/repro/shard/transport.py",
+    # Byte integrity: checkpoint payload and file-header digests.
+    "src/repro/checkpoint/state.py",
+    "src/repro/checkpoint/manager.py",
+}
 
 
 def iter_python_files(root: str) -> list[str]:
@@ -217,6 +237,29 @@ def _check_hot_reflection(tree: ast.Module, relpath: str) -> list[Finding]:
     return findings
 
 
+def _check_hashlib(tree: ast.Module, relpath: str) -> list[Finding]:
+    """H200: ``hashlib`` imported under ``src/repro`` off the allowlist."""
+    posix = relpath.replace(os.sep, "/")
+    if not posix.startswith("src/repro/") or posix in _HASHLIB_ALLOWLIST:
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "hashlib" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "hashlib"
+        else:
+            continue
+        if hit:
+            findings.append(Finding(
+                relpath, node.lineno, "H200",
+                "hashlib imported outside repro/fingerprint.py -- digest "
+                "values with repro.fingerprint.digest/chain, or allowlist "
+                "the file in ci/lint.py if it pins bytes (seeds, integrity)",
+            ))
+    return findings
+
+
 #: The marker that opts a function into the H101 comprehension ban.  It
 #: lives in a comment, so the check reads the ``def`` source line -- the
 #: AST does not carry comments.
@@ -311,6 +354,7 @@ def lint_file(path: str, root: str, fix: bool = False) -> list[Finding]:
     findings.extend(_check_redefinitions(tree, relpath))
     findings.extend(_check_debugger(tree, relpath))
     findings.extend(_check_hot_reflection(tree, relpath))
+    findings.extend(_check_hashlib(tree, relpath))
     findings.extend(_check_hot_comprehensions(
         tree, source.splitlines(), relpath
     ))

@@ -31,12 +31,12 @@ snapshotted: the disabled mode is the plain run, with zero added events.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.state import RestoreMismatchError, diff_states
+from repro.fingerprint import digest
 
 __all__ = [
     "RunConfig",
@@ -44,10 +44,6 @@ __all__ = [
     "run_checkpointed",
     "resume_checkpointed",
 ]
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -338,61 +334,34 @@ class CheckpointedRun:
         return fingerprints
 
     def _solr_fingerprints(self, result) -> dict:
-        primary = result.facility.primary
-        report = {
-            "coefficients": tuple(
-                (name, float(watts))
-                for name, watts in sorted(
-                    self.calibration.cmax_table().items()
-                )
-            ),
-            "idle_watts": self.calibration.idle_watts,
-            "n_requests": len(result.driver.results),
-            "energies": tuple(
-                r.energy(primary) for r in result.driver.results
-            ),
-            "response_times": tuple(
-                r.response_time for r in result.driver.results
-            ),
-            "measured_joules": result.measured_active_joules,
-        }
-        rendered = "\n".join(f"{k}={report[k]!r}" for k in sorted(report))
+        report = result.report(self.calibration)
         return {
             "kind": "solr",
-            "report": _digest(rendered),
+            "report": digest(sorted(report.items())),
             "trace": self.telemetry.trace_fingerprint(),
             "shed": "-",
-            "batch": _digest(
-                "\n".join(self._batch_lines(result.facility))
-            ),
+            "batch": digest(self._batch_lines(result.facility)),
             "n_requests": report["n_requests"],
         }
 
     def _chaos_fingerprints(self, report) -> dict:
-        from repro.faults import OverloadWorld, SingleMachineWorld
+        from repro.faults import SingleMachineWorld
 
         world = self._live.world
         if isinstance(world, SingleMachineWorld):
-            batch_lines = self._batch_lines(world.facility)
+            batch = self._batch_lines(world.facility)
         else:
-            batch_lines = []
-            for member in world.cluster.machines:
-                batch_lines.extend(
-                    f"{member.name}|{line}"
-                    for line in self._batch_lines(member.facility)
-                )
-        shed = (
-            world.protector.shed_fingerprint()
-            if isinstance(world, OverloadWorld)
-            else "-"
-        )
+            batch = [
+                (member.name, self._batch_lines(member.facility))
+                for member in world.cluster.machines
+            ]
         return {
             "kind": "chaos",
             "scenario": report.scenario,
-            "report": _digest(report.fingerprint()),
+            "report": report.fingerprint(),
             "trace": self.telemetry.trace_fingerprint(),
-            "shed": shed,
-            "batch": _digest("\n".join(batch_lines)),
+            "shed": report.shed_fingerprint,
+            "batch": digest(batch),
             "passed": report.passed,
         }
 

@@ -234,8 +234,7 @@ def cmd_chaos(args) -> int:
             len(report.violations),
         ])
         if args.fingerprints:
-            print(report.fingerprint())
-            print()
+            print(f"{scenario.name} fingerprint {report.fingerprint()}")
         for violation in report.violations:
             print(f"  {scenario.name}: {violation}")
         failures += 0 if report.passed else 1
@@ -798,7 +797,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             cmd_parser.add_argument(
                 "--fingerprints", action="store_true",
-                help="print each report's canonical fingerprint",
+                help="print each report's fingerprint digest",
             )
         elif name in ("trace", "metrics"):
             cmd_parser.add_argument(

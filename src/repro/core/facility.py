@@ -706,18 +706,20 @@ class PowerContainerFacility(KernelHooks):
     # ------------------------------------------------------------------
     # Introspection helpers for experiments
     # ------------------------------------------------------------------
-    def health_stats(self) -> dict[str, float]:
-        """Merged robustness counters: watchdog + recalibration guards.
+    def publish_metrics(self, registry=None) -> None:
+        """Publish the robustness counters as gauges.
 
-        Keys are stable, so two identically-seeded runs export identical
-        dicts (the chaos determinism gate relies on this).
-
-        .. deprecated::
-            Kept as a thin compatibility schema; prefer
-            :meth:`publish_metrics` + ``MetricsRegistry.snapshot()``,
-            which expose the same counters under the unified
-            ``facility_*`` naming convention (see docs/observability.md).
+        Watchdog, recalibration and guard counters become
+        ``facility_<key>`` gauges (``facility_<node>_<key>`` when a
+        ``telemetry_node`` name was configured), plus
+        ``facility_samples_taken``.  With no explicit ``registry`` the
+        attached telemetry handle's registry is used; without either,
+        this is a no-op.
         """
+        if registry is None:
+            if self.telemetry is None:
+                return
+            registry = self.telemetry.registry
         stats = self.health.export_stats()
         for name, recalibrator in sorted(self.recalibrators.items()):
             stats[f"{name}_rejected_samples"] = float(
@@ -730,30 +732,16 @@ class PowerContainerFacility(KernelHooks):
             if recalibrator.guard is not None:
                 for key, value in recalibrator.guard.export_stats().items():
                     stats[f"{name}_{key}"] = value
-        return stats
-
-    def publish_metrics(self, registry=None) -> None:
-        """Mirror :meth:`health_stats` into a telemetry metrics registry.
-
-        Keys become ``facility_<key>`` gauges (``facility_<node>_<key>``
-        when a ``telemetry_node`` name was configured).  With no explicit
-        ``registry`` the attached telemetry handle's registry is used;
-        without either, this is a no-op.
-        """
-        if registry is None:
-            if self.telemetry is None:
-                return
-            registry = self.telemetry.registry
+        stats["samples_taken"] = float(
+            sum(a.samples_taken for a in self.accountants.values())
+        )
         prefix = (
             f"facility_{self.telemetry_node}_"
             if self.telemetry_node
             else "facility_"
         )
-        for key, value in self.health_stats().items():
+        for key, value in stats.items():
             registry.gauge(prefix + key).set(value)
-        registry.gauge(prefix + "samples_taken").set(
-            float(sum(a.samples_taken for a in self.accountants.values()))
-        )
 
     def flush(self) -> None:
         """Force a sample on every core (end-of-experiment accounting).

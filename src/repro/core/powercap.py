@@ -312,44 +312,32 @@ class PowerCapEnforcer:
             self.conditioners[name].restore_state(conditioner_state)
 
     # ------------------------------------------------------------------
-    def health_stats(self) -> dict[str, float]:
-        """Stable-keyed control-loop counters for chaos/CI reports.
-
-        .. deprecated::
-            Kept as a thin compatibility schema; prefer
-            :meth:`publish_metrics` + ``MetricsRegistry.snapshot()``, which
-            expose the same counters under the unified ``powercap_*``
-            naming convention (see docs/observability.md).
-        """
-        return {
-            "powercap_level": float(self.level),
-            "powercap_cap_watts": float(self.cap_watts),
-            "powercap_effective_cap": float(self.effective_cap()),
-            "powercap_measured_watts": float(self.measured_watts),
-            "powercap_ticks": float(self.ticks),
-            "powercap_escalations": float(self.escalations),
-            "powercap_deescalations": float(self.deescalations),
-            "powercap_over_cap_intervals": float(self.over_cap_intervals),
-            "powercap_max_consecutive_over": float(self.max_consecutive_over),
-            "powercap_degraded_intervals": float(self.degraded_intervals),
-            "powercap_degraded": 1.0 if self.degraded else 0.0,
-            "powercap_transitions": float(len(self.transitions)),
-            "powercap_conditioner_adjustments": float(
-                sum(c.adjustments for c in self.conditioners.values())
-            ),
-        }
-
     def publish_metrics(self, registry=None) -> None:
-        """Mirror :meth:`health_stats` into a telemetry metrics registry.
+        """Publish the control-loop counters as ``powercap_*`` gauges.
 
-        All keys already carry the ``powercap_`` prefix and publish
-        unchanged as gauges.  With no explicit ``registry`` the attached
-        telemetry handle's registry is used; without either this is a
-        no-op.
+        With no explicit ``registry`` the attached telemetry handle's
+        registry is used; without either this is a no-op.
         """
         if registry is None:
             if self.telemetry is None:
                 return
             registry = self.telemetry.registry
-        for key, value in self.health_stats().items():
-            registry.gauge(key).set(value)
+        stats = {
+            "level": self.level,
+            "cap_watts": self.cap_watts,
+            "effective_cap": self.effective_cap(),
+            "measured_watts": self.measured_watts,
+            "ticks": self.ticks,
+            "escalations": self.escalations,
+            "deescalations": self.deescalations,
+            "over_cap_intervals": self.over_cap_intervals,
+            "max_consecutive_over": self.max_consecutive_over,
+            "degraded_intervals": self.degraded_intervals,
+            "degraded": 1.0 if self.degraded else 0.0,
+            "transitions": len(self.transitions),
+            "conditioner_adjustments": sum(
+                c.adjustments for c in self.conditioners.values()
+            ),
+        }
+        for key, value in stats.items():
+            registry.gauge(f"powercap_{key}").set(value)

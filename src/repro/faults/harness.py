@@ -17,8 +17,8 @@ for the scenario's duration, and then audits the attribution stack:
 
 Everything is seeded through :class:`repro.sim.rng.RngHub`, so one seed
 fixes the workload arrivals, the fault draws, and therefore the full
-report; :meth:`ChaosReport.fingerprint` renders it bit-identically for the
-determinism gate.
+report; :meth:`ChaosReport.fingerprint` digests it for the determinism
+gate.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.faults.injectors import (
     TagFaultInjector,
 )
 from repro.faults.plan import FaultPlan, FaultTargets
+from repro.fingerprint import digest
 from repro.hardware.events import RateProfile
 from repro.hardware.meters import PackageMeter
 from repro.hardware.specs import SANDYBRIDGE, build_machine
@@ -49,6 +50,7 @@ from repro.server.dispatch import Dispatcher, SimpleLoadBalancePolicy
 from repro.server.overload import OverloadConfig, OverloadProtector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngHub
+from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads.base import OpenLoopDriver
 from repro.workloads.synthetic import StageSpec, SyntheticWorkload
 
@@ -392,6 +394,8 @@ class ChaosReport:
     duration: float
     stats: dict[str, float] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
+    #: Digest of the overload world's shed set (``"-"`` for other worlds).
+    shed_fingerprint: str = "-"
 
     @property
     def passed(self) -> bool:
@@ -399,18 +403,16 @@ class ChaosReport:
         return not self.violations
 
     def fingerprint(self) -> str:
-        """Canonical rendering: identical runs produce identical strings.
+        """Digest of the whole report: identical runs, identical digests.
 
-        Floats are rendered with ``repr`` (shortest round-trip form), so
-        any bitwise divergence between two same-seed runs shows up.
+        Every float is encoded bit-exactly, so any divergence between two
+        same-seed runs shows up.
         """
-        lines = [f"scenario={self.scenario} seed={self.seed} "
-                 f"duration={self.duration!r}"]
-        for key in sorted(self.stats):
-            lines.append(f"{key}={self.stats[key]!r}")
-        for violation in self.violations:
-            lines.append(f"VIOLATION {violation}")
-        return "\n".join(lines)
+        return digest((
+            self.scenario, self.seed, self.duration,
+            sorted(self.stats.items()), self.violations,
+            self.shed_fingerprint,
+        ))
 
 
 def _check_finite_trace(facility: PowerContainerFacility, violations: list[str]) -> None:
@@ -544,13 +546,16 @@ def finalize_scenario(live: LiveScenarioRun) -> ChaosReport:
     violations = report.violations
     stats = report.stats
     stats.update(world.targets.export_stats())
+    # A fresh registry per report keeps the stats independent of whether
+    # (and how) the run was instrumented.
+    registry = MetricsRegistry()
 
     if isinstance(world, SingleMachineWorld):
         world.facility.flush()
         _check_finite_trace(world.facility, violations)
         _check_models(world.facility, violations)
         _check_containers(world.facility, violations)
-        stats.update(world.facility.health_stats())
+        world.facility.publish_metrics(registry)
         stats["completed"] = float(world.driver.completed)
     else:
         for member in world.cluster.machines:
@@ -559,12 +564,15 @@ def finalize_scenario(live: LiveScenarioRun) -> ChaosReport:
             _check_containers(member.facility, violations)
             if isinstance(world, OverloadWorld):
                 _check_finite_trace(member.facility, violations)
-            for key, value in member.facility.health_stats().items():
-                stats[f"{member.name}_{key}"] = value
-        stats.update(world.dispatcher.health_stats())
+            # Cluster facilities publish under facility_<machine>_*.
+            member.facility.publish_metrics(registry)
+        world.dispatcher.publish_metrics(registry)
+        stats["completed"] = float(world.dispatcher.completed)
         if isinstance(world, OverloadWorld):
-            stats.update(world.enforcer.health_stats())
+            world.enforcer.publish_metrics(registry)
+            report.shed_fingerprint = world.protector.shed_fingerprint()
             _check_overload(world, violations)
+    stats.update(registry.snapshot())
 
     attributed = world.attributed_joules()
     measured = world.measured_joules()

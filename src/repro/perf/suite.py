@@ -63,11 +63,6 @@ MIN_ACCOUNTING_RATIO = 2.0
 #: path must stay within this budget (machine-independent; measured ~1.0).
 MAX_TELEMETRY_DISABLED_RATIO = 1.05
 
-#: Iterations per arm of the telemetry-overhead benchmark.  Module-level
-#: because the schema-1 migration reconstructs that benchmark's wall time
-#: from its recorded samples/sec.
-_TELEMETRY_ITERATIONS = 10_000
-
 #: Maximum wall-time ratio of a shard worker's epoch-barrier loop with a
 #: disabled telemetry handle over the telemetry-off loop.  The frame
 #: machinery must be invisible when frames are not requested: mode
@@ -99,8 +94,7 @@ class BenchResult:
     """One benchmark's timing plus derived throughput numbers.
 
     ``seconds`` is always a wall time.  Ratio benchmarks additionally set
-    ``ratio`` -- the machine-independent quantity their CI bound checks --
-    instead of smuggling it through ``seconds`` as schema 1 did.
+    ``ratio`` -- the machine-independent quantity their CI bound checks.
     """
 
     name: str
@@ -269,7 +263,7 @@ def bench_telemetry_overhead() -> BenchResult:
 
     calibration = calibrate_machine(SANDYBRIDGE, duration=0.1)
     spin = RateProfile(name="bench-spin", ipc=1.0)
-    iterations = _TELEMETRY_ITERATIONS
+    iterations = 10_000
 
     def build_accountant(telemetry):
         sim = Simulator()
@@ -670,37 +664,15 @@ def write_bench_json(results: dict[str, BenchResult], path: str) -> dict:
     return payload
 
 
-def _migrate_schema1(payload: dict) -> dict:
-    """Schema 1 -> 2 in place: un-smuggle the ratios out of ``seconds``.
-
-    Schema 1 stored the two ratio benchmarks' ratios *as* their
-    ``seconds``.  The migration moves those into ``ratio`` and recovers a
-    real wall time from the recorded throughput fields (the vectorized
-    correlation arm's seconds; the telemetry bench's bare arm via its
-    samples/sec and the fixed iteration count).  When the throughput field
-    is missing the wall time is set to ``0.0``, which
-    :func:`check_regressions` treats as "no wall baseline".
-    """
-    for name, entry in payload.get("benchmarks", {}).items():
-        if "ratio" in entry:
-            continue
-        if name == "micro-correlation-vs-oracle-ratio":
-            entry["ratio"] = entry["seconds"]
-            entry["seconds"] = entry.get("vectorized_seconds", 0.0)
-        elif name == "micro-telemetry-disabled-ratio":
-            entry["ratio"] = entry["seconds"]
-            bare = entry.get("bare_samples_per_sec")
-            entry["seconds"] = _TELEMETRY_ITERATIONS / bare if bare else 0.0
-    payload["schema"] = 2
-    return payload
-
-
 def load_bench_json(path: str) -> dict:
-    """Load a committed ``BENCH_perf.json``, migrating old schemas."""
+    """Load a committed ``BENCH_perf.json``; only schema 2 is accepted."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("schema", 1) < 2:
-        payload = _migrate_schema1(payload)
+    if payload.get("schema") != 2:
+        raise ValueError(
+            f"{path}: unsupported BENCH schema {payload.get('schema')!r} "
+            f"(expected 2)"
+        )
     return payload
 
 
@@ -713,8 +685,7 @@ def check_regressions(
 
     Returns a list of human-readable problems (empty = pass).  Every
     benchmark's wall time must stay under ``threshold`` x its committed
-    ``seconds`` (skipped when a schema-1 migration could not recover a
-    wall baseline); ratio benchmarks must additionally hold their
+    ``seconds``; ratio benchmarks must additionally hold their
     machine-independent bounds (:data:`RATIO_MINIMUMS` speedup floors,
     :data:`RATIO_MAXIMUMS` overhead budgets).
     """
@@ -759,8 +730,6 @@ def check_regressions(
         if baseline is None:
             problems.append(f"{name}: no committed baseline in {committed_path}")
             continue
-        if baseline["seconds"] <= 0.0:
-            continue  # migrated entry without a recoverable wall time
         limit = baseline["seconds"] * threshold
         if result.seconds > limit:
             problems.append(

@@ -614,32 +614,32 @@ class Dispatcher:
         return on_reply
 
     # ------------------------------------------------------------------
-    def health_stats(self) -> dict[str, float]:
-        """Robustness counters, named like the facility's ``health_stats``.
+    def publish_metrics(self, registry=None) -> None:
+        """Publish the robustness counters as ``dispatch_*`` gauges.
 
-        Stable keys, float values: global dispatch counters, per-machine
-        exclusion state, and (when overload protection is enabled) the
-        protector's admission/shedding/breaker counters.  Chaos reports and
-        the CI overload lane read this one schema.
-
-        .. deprecated::
-            Kept as a thin compatibility schema; prefer
-            :meth:`publish_metrics` + ``MetricsRegistry.snapshot()``, which
-            expose the same counters under the unified ``dispatch_*``
-            naming convention (see docs/observability.md).
+        Global dispatch counters plus per-machine exclusion state
+        (``dispatch_<machine>_excluded`` ...); with overload protection
+        enabled the protector publishes its own ``overload_*`` gauges
+        (:meth:`OverloadProtector.publish_metrics`).  With no explicit
+        ``registry`` the attached telemetry handle's registry is used;
+        without either this is a no-op.
         """
+        if registry is None:
+            if self.telemetry is None:
+                return
+            registry = self.telemetry.registry
         stats = {
-            "completed": float(self.completed),
-            "dispatch_failures": float(self.dispatch_failures),
-            "retries": float(self.retries),
-            "dropped_requests": float(self.dropped_requests),
-            "failed_over": float(self.failed_over),
-            "late_replies": float(self.late_replies),
+            "completed": self.completed,
+            "dispatch_failures": self.dispatch_failures,
+            "retries": self.retries,
+            "dropped_requests": self.dropped_requests,
+            "failed_over": self.failed_over,
+            "late_replies": self.late_replies,
         }
         now = self.cluster.simulator.now
         for name in sorted(self._health):
             health = self._health[name]
-            stats[f"{name}_consecutive_failures"] = float(
+            stats[f"{name}_consecutive_failures"] = (
                 health.consecutive_failures
             )
             stats[f"{name}_excluded"] = (
@@ -648,31 +648,8 @@ class Dispatcher:
                 and now < health.excluded_until
                 else 0.0
             )
-            stats[f"{name}_dispatched"] = float(self.dispatched_to.get(name, 0))
-        if self.overload is not None:
-            stats.update(self.overload.health_stats())
-        return stats
-
-    def publish_metrics(self, registry=None) -> None:
-        """Mirror :meth:`health_stats` into a telemetry metrics registry.
-
-        Global and per-machine counters become ``dispatch_<key>`` gauges;
-        merged overload-protector keys (already ``overload_*``-prefixed)
-        are delegated to :meth:`OverloadProtector.publish_metrics` so they
-        publish under their own prefix.  With no explicit ``registry`` the
-        attached telemetry handle's registry is used; without either this
-        is a no-op.
-        """
-        if registry is None:
-            if self.telemetry is None:
-                return
-            registry = self.telemetry.registry
-        overload_keys = (
-            set(self.overload.health_stats()) if self.overload else set()
-        )
-        for key, value in self.health_stats().items():
-            if key in overload_keys:
-                continue
+            stats[f"{name}_dispatched"] = self.dispatched_to.get(name, 0)
+        for key, value in stats.items():
             registry.gauge(f"dispatch_{key}").set(value)
         if self.overload is not None:
             self.overload.publish_metrics(registry)

@@ -33,12 +33,12 @@ renders the four run fingerprints (``report``, ``shed``, ``batch``,
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import signal
 from dataclasses import asdict, dataclass, field
 
+from repro.fingerprint import chain, digest
 from repro.server.dispatch import DispatchTicket
 from repro.shard.messages import (
     CompletionRecord,
@@ -61,11 +61,10 @@ SPEC_CYCLE = ("sandybridge", "woodcrest", "westmere")
 #: before any inject scheduled at that instant.
 _RANK = {"crash": 0, "recover": 1, "inject": 2}
 
-#: Seed of the chained energy digest.  The chain (each completion line is
-#: hashed together with the previous hex digest) replaces the old
-#: incremental ``hashlib`` object so the cursor is a 64-char string --
+#: Seed of the chained energy digest.  Each barrier folds its merged
+#: completion lines into the chain, whose cursor is a 64-char hex string --
 #: plain data the checkpoint layer can snapshot and resume from.
-_ENERGY_CHAIN_SEED = hashlib.sha256(b"shard-energy-chain-v1").hexdigest()
+_ENERGY_CHAIN_SEED = digest("shard-energy-chain-v1")
 
 #: Run-level telemetry modes.  ``"off"`` -- nothing; ``"disabled"`` --
 #: workers carry an enabled=False handle (the neutrality/overhead arm);
@@ -240,11 +239,7 @@ class ShardRunResult:
 
     def fingerprint(self) -> str:
         """One digest over the four stream fingerprints (gate-friendly)."""
-        joined = "\n".join(
-            f"{key}={self.fingerprints[key]}"
-            for key in sorted(self.fingerprints)
-        )
-        return hashlib.sha256(joined.encode()).hexdigest()
+        return digest(sorted(self.fingerprints.items()))
 
 
 def _machine_slots(
@@ -529,18 +524,17 @@ class ShardedClusterRun:
         per_shard = self._epoch_directives(placed, epoch_faults)
         completions, failovers, frames = pool.run_epoch(end, per_shard)
         merged_completions = merge_records(completions, CompletionRecord)
+        energy_lines = []
         for record in merged_completions:
             self.scheduler.note_completed(record)
             self.completed += 1
             self.total_energy += record.energy_joules
             self.total_response += record.response_time
-            line = (
+            energy_lines.append(
                 f"{record.completion!r}:{record.machine}:"
-                f"{record.request_id}:{record.energy_joules!r}\n"
+                f"{record.request_id}:{record.energy_joules!r}"
             )
-            self._energy_digest = hashlib.sha256(
-                (self._energy_digest + line).encode()
-            ).hexdigest()
+        self._energy_digest = chain(self._energy_digest, energy_lines)
         merged_failovers = merge_records(failovers, FailoverRecord)
         for record in merged_failovers:
             self.scheduler.note_failover(record)
@@ -728,7 +722,7 @@ class ShardedClusterRun:
             -> ShardRunResult:
         """Fold per-shard payloads into the four run fingerprints."""
         machine_rows = []
-        batch_hash = hashlib.sha256()
+        batch = []
         for name, _spec in self.config.machine_table():
             payload = payloads[self.shard_of[name]]
             row = payload["machines"][name]
@@ -740,41 +734,23 @@ class ShardedClusterRun:
                 row["crash_count"],
                 row["alive"],
             ))
-            for line in row["batch_lines"]:
-                batch_hash.update(f"{name}|{line}\n".encode())
+            batch.append((name, row["batch_lines"]))
         self.late_replies = sum(
             payload["late_replies"] for payload in payloads.values()
         )
         unfinished = len(self._pending) + self.scheduler.inflight_count()
         stats = self.scheduler.stats()
-        report_lines = [
-            f"workload={self.config.workload}",
-            f"machines={self.config.n_machines}",
-            f"requests={self.n_requests}",
-            f"completed={self.completed}",
-            f"shed={self.scheduler.shed}",
-            f"failovers={self.scheduler.failovers}",
-            f"late_replies={self.late_replies}",
-            f"unfinished={unfinished}",
-            f"epochs={self.epochs_run}",
-            f"energy={self.total_energy!r}",
-            f"response={self.total_response!r}",
-        ]
-        report_lines.extend(
-            f"stat:{key}={stats[key]!r}" for key in sorted(stats)
-        )
-        report_lines.extend(
-            f"machine:{name}={completed}:{attributed!r}:{measured!r}:"
-            f"{crashes}:{alive}"
-            for name, completed, attributed, measured, crashes, alive
-            in machine_rows
+        report = (
+            self.config.workload, self.config.n_machines, self.n_requests,
+            self.completed, self.scheduler.shed, self.scheduler.failovers,
+            self.late_replies, unfinished, self.epochs_run,
+            self.total_energy, self.total_response, sorted(stats.items()),
+            machine_rows,
         )
         fingerprints = {
-            "report": hashlib.sha256(
-                "\n".join(report_lines).encode()
-            ).hexdigest(),
+            "report": digest(report),
             "shed": self.scheduler.shed_fingerprint(),
-            "batch": batch_hash.hexdigest(),
+            "batch": digest(batch),
             "energy": self._energy_digest,
         }
         telemetry_summary: dict = {}

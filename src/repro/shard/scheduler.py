@@ -31,10 +31,10 @@ independent of how machines are grouped into shards.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass, field
 
+from repro.fingerprint import digest
 from repro.server.dispatch import DispatchTicket
 from repro.shard.messages import CompletionRecord, FailoverRecord
 
@@ -408,10 +408,8 @@ class PowerAwareScheduler:
         return len(self._inflight)
 
     def shed_fingerprint(self) -> str:
-        """SHA-256 over the canonical shed log (order is deterministic)."""
-        return hashlib.sha256(
-            "\n".join(self.shed_log).encode()
-        ).hexdigest()
+        """Digest of the shed log (its order is deterministic)."""
+        return digest(self.shed_log)
 
     def stats(self) -> dict[str, float]:
         """Stable-keyed counters for reports and fingerprints."""

@@ -42,10 +42,11 @@ fingerprints are bit-identical with telemetry on, off, or absent.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import zlib
 from typing import Optional
+
+from repro.fingerprint import chain, digest
 
 from .anomaly import AnomalyEngine, AnomalyThresholds, WindowInputs
 from .metrics import MetricsRegistry
@@ -57,10 +58,10 @@ FRAME_TAG = "tframe"
 
 #: Seed for the worker-side frame-chain digest (proves replayed frames
 #: match shipped ones via ``state_summary()``).
-FRAME_CHAIN_SEED = hashlib.sha256(b"telemetry-frame-chain-v1").hexdigest()
+FRAME_CHAIN_SEED = digest("telemetry-frame-chain-v1")
 
 #: Seed for the coordinator-side merged-stream digest.
-MERGE_CHAIN_SEED = hashlib.sha256(b"telemetry-merge-chain-v1").hexdigest()
+MERGE_CHAIN_SEED = digest("telemetry-merge-chain-v1")
 
 
 class FrameChecksumError(ValueError):
@@ -261,9 +262,7 @@ class FrameDrain:
             shard_id, epoch_index, tuple(events), deltas, dropped
         )
         self.frames += 1
-        self.chain = hashlib.sha256(
-            f"{self.chain}:{frame.checksum}".encode()
-        ).hexdigest()
+        self.chain = chain(self.chain, [str(frame.checksum)])
         return frame
 
     def summary(self) -> dict:
@@ -274,9 +273,9 @@ class FrameDrain:
 class TelemetryAggregator:
     """Coordinator-side k-way merge of per-shard telemetry frames.
 
-    The streaming fingerprint chains one sha256 per barrier over the
-    merged canonical event lines, so invariance holds without retaining
-    events.  A bounded :class:`RequestTracer` is kept for Chrome-trace
+    The streaming fingerprint folds each barrier's merged canonical event
+    lines into one :func:`~repro.fingerprint.chain` step, so invariance
+    holds without retaining events.  A bounded :class:`RequestTracer` is kept for Chrome-trace
     export when ``retain`` is true (the default); flash-scale runs can
     turn it off and still fingerprint/aggregate everything.
     """
@@ -307,23 +306,19 @@ class TelemetryAggregator:
             decoded.append(frame)
         decoded.sort(key=lambda f: f.shard_id)
         instant_counts: dict[str, int] = {}
-        digest = hashlib.sha256(self.chain.encode())
-        merged_any = False
+        lines = []
         for event in heapq.merge(
             *(frame.events for frame in decoded), key=_event_key
         ):
-            merged_any = True
             now, track, _seq, kind, name, args = event
             span = TraceSpanEvent(kind, now, track, name, tuple(args))
-            digest.update(span.canonical().encode())
-            digest.update(b"\n")
+            lines.append(span.canonical())
             if self.tracer is not None:
                 self.tracer._append(span)
             if kind == KIND_INSTANT:
                 instant_counts[name] = instant_counts.get(name, 0) + 1
-            self.events_merged += 1
-        if merged_any:
-            self.chain = digest.hexdigest()
+        self.events_merged += len(lines)
+        self.chain = chain(self.chain, lines)
         for frame in decoded:
             apply_metric_deltas(self.registry, frame.metrics)
             self.dropped_total += frame.dropped
@@ -332,7 +327,7 @@ class TelemetryAggregator:
 
     def trace_fingerprint(self) -> str:
         """Chained digest of the merged stream (shard-count-invariant)."""
-        return self.chain[:16]
+        return self.chain
 
     def exposition(self) -> str:
         return self.registry.exposition()

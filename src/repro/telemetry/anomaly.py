@@ -31,13 +31,14 @@ unit tests exercise them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+
+from repro.fingerprint import digest
 
 
 @dataclass(frozen=True)
 class AlertRecord:
-    """One fired alert: plain data with a canonical rendering."""
+    """One fired alert (plain data)."""
 
     time: float
     window: int
@@ -47,14 +48,6 @@ class AlertRecord:
     value: float
     threshold: float
     message: str
-
-    def canonical(self) -> str:
-        """Stable one-line rendering hashed by ``alert_fingerprint``."""
-        return (
-            f"{self.time!r}|{self.window}|{self.detector}|{self.severity}"
-            f"|{self.subject}|{self.value!r}|{self.threshold!r}"
-            f"|{self.message}"
-        )
 
     def to_wire(self) -> dict:
         return {
@@ -74,10 +67,8 @@ class AlertRecord:
 
 
 def alert_fingerprint(alerts: list[AlertRecord]) -> str:
-    """sha256[:16] over the canonical alert lines in emission order."""
-    return hashlib.sha256(
-        "\n".join(alert.canonical() for alert in alerts).encode()
-    ).hexdigest()[:16]
+    """Digest of the alert records in emission order."""
+    return digest(list(alerts))
 
 
 @dataclass(frozen=True)

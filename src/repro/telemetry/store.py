@@ -31,10 +31,11 @@ continues its rollups bit-identically.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import math
+
+from repro.fingerprint import digest
 
 
 class TelemetryStore:
@@ -212,43 +213,13 @@ class TelemetryStore:
         ]
 
     # -- fingerprints and exports ---------------------------------------
-    def _canonical_lines(self) -> list[str]:
-        lines = [
-            f"requests={self.requests_seen}",
-            f"joules={self.total_joules!r}",
-        ]
-        lines.extend(
-            f"machine:{name}={rack}:{count}:{joules!r}"
-            for name, rack, count, joules in self.machine_table()
-        )
-        lines.extend(
-            f"rtype:{rtype}={count}:{joules!r}:{mean!r}"
-            for rtype, count, joules, mean in self.rtype_table()
-        )
-        lines.extend(
-            f"window:{window}={shed}:{deferred}:{failovers}:"
-            f"{completed}:{joules!r}"
-            for window, shed, deferred, failovers, completed, joules
-            in self.window_table()
-        )
-        for rack, points in sorted(self.rack_power_series().items()):
-            for start, watts in points:
-                lines.append(f"rack:{rack}@{start!r}={watts!r}")
-        lines.extend(
-            f"top:{row['request_id']}={row['machine']}:{row['rtype']}:"
-            f"{row['joules']!r}"
-            for row in self.top_energy()
-        )
-        for rtype, values in sorted(self.joules_percentiles().items()):
-            for key, value in sorted(values.items()):
-                lines.append(f"pct:{rtype}:{key}={value!r}")
-        return lines
-
     def store_fingerprint(self) -> str:
-        """sha256[:16] over every query surface's canonical rendering."""
-        return hashlib.sha256(
-            "\n".join(self._canonical_lines()).encode()
-        ).hexdigest()[:16]
+        """Digest of every query surface (each is deterministically ordered)."""
+        return digest((
+            self.requests_seen, self.total_joules, self.machine_table(),
+            self.rtype_table(), self.window_table(), self.rack_power_series(),
+            self.top_energy(), self.joules_percentiles(),
+        ))
 
     def dashboard(
         self, meta: dict | None = None, alerts: list | None = None

@@ -29,11 +29,12 @@ keeping memory bounded on long runs without perturbing the simulation.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+from repro.fingerprint import digest
 
 #: Event kinds stored in the ring buffer.
 KIND_BEGIN = "B"
@@ -54,13 +55,10 @@ class TraceSpanEvent:
     args: tuple[tuple[str, object], ...] = ()
 
     def canonical(self) -> str:
-        """A stable one-line rendering used by the fingerprint."""
+        """The one-line rendering fingerprints hash (``repr`` values)."""
         parts = [self.kind, repr(self.now), self.track, self.name]
         for key, value in self.args:
-            if isinstance(value, float):
-                parts.append(f"{key}={value!r}")
-            else:
-                parts.append(f"{key}={value}")
+            parts.append(f"{key}={value!r}")
         return "|".join(parts)
 
 
@@ -163,17 +161,14 @@ class RequestTracer:
     # Export
     # ------------------------------------------------------------------
     def trace_fingerprint(self) -> str:
-        """sha256[:16] over the canonical event lines plus the drop count.
+        """Digest of the drop count plus the canonical event lines.
 
         Stable across processes for identical event sequences; any
         reordering, added/removed event, or changed arg changes it.
         """
-        digest = hashlib.sha256()
-        digest.update(f"dropped={self.dropped_events}\n".encode())
-        for event in self.events:
-            digest.update(event.canonical().encode())
-            digest.update(b"\n")
-        return digest.hexdigest()[:16]
+        return digest(
+            (self.dropped_events, [event.canonical() for event in self.events])
+        )
 
     def to_chrome_trace(self) -> dict:
         """Render as a Chrome ``trace_event`` JSON object.

@@ -15,6 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.core.calibration import CalibrationResult
 from repro.core.facility import PowerContainerFacility
 from repro.core.container import PowerContainer
 from repro.kernel import ContextTag, Kernel, Message
@@ -367,6 +368,27 @@ class WorkloadRun:
     def results(self) -> list[RequestResult]:
         """Requests that completed inside the measurement window."""
         return [r for r in self.driver.results if r.arrival >= self.measure_start]
+
+    def report(self, calibration: CalibrationResult) -> dict:
+        """The run's comparison report: calibration plus every outcome.
+
+        One rendering shared by the determinism gate's double run and the
+        checkpoint runner's ``report`` fingerprint.
+        """
+        primary = self.facility.primary
+        return {
+            "coefficients": tuple(
+                (name, float(watts))
+                for name, watts in sorted(calibration.cmax_table().items())
+            ),
+            "idle_watts": calibration.idle_watts,
+            "n_requests": len(self.driver.results),
+            "energies": tuple(r.energy(primary) for r in self.driver.results),
+            "response_times": tuple(
+                r.response_time for r in self.driver.results
+            ),
+            "measured_joules": self.measured_active_joules,
+        }
 
 
 def meter_setup_for(spec, calibration, machine, simulator) -> dict[str, Any]:

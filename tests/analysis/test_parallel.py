@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import fingerprint
 from repro.analysis.parallel import (
     available_cores,
     derived_seeds,
@@ -171,7 +172,9 @@ def test_parallel_sweep_byte_identical_to_serial(sb_cal):
         loads=loads, duration=0.8, seed=3, jobs=min(8, available_cores()),
     )
     parallel_seconds = time.perf_counter() - t0
-    assert pickle.dumps(serial) == pickle.dumps(parallel)
+    # Value-canonical and bit-exact on every float; pickle bytes would also
+    # compare object identity (its memo), which forked workers never share.
+    assert fingerprint.canonical(serial) == fingerprint.canonical(parallel)
 
     if available_cores() >= 4:
         t0 = time.perf_counter()

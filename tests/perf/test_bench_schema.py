@@ -1,14 +1,14 @@
-"""BENCH_perf.json schema 2: ratio fields, migration, regression gates.
+"""BENCH_perf.json schema 2: ratio fields, schema validation, gates.
 
-Schema 1 stored the ratio benchmarks' machine-independent ratios *in* the
-``seconds`` field, which made them look like multi-second wall times to
-anything consuming the file.  Schema 2 keeps ``seconds`` as a wall time
-everywhere and adds an explicit ``ratio`` field; these tests pin the
-writer, the schema-1 migration, and the ``check_regressions`` contract on
-both fields.
+Schema 2 keeps ``seconds`` as a wall time everywhere and carries the ratio
+benchmarks' machine-independent ratios in an explicit ``ratio`` field;
+these tests pin the writer, the loader's rejection of any other schema,
+and the ``check_regressions`` contract on both fields.
 """
 
 import json
+
+import pytest
 
 from repro.perf import (
     BenchResult,
@@ -20,7 +20,6 @@ from repro.perf.suite import (
     MAX_TELEMETRY_DISABLED_RATIO,
     MIN_ACCOUNTING_RATIO,
     MIN_CORRELATION_RATIO,
-    _TELEMETRY_ITERATIONS,
 )
 
 
@@ -62,62 +61,17 @@ def test_write_emits_schema_2_with_ratio_fields(tmp_path):
     assert load_bench_json(path) == json.load(open(path))
 
 
-def test_load_migrates_schema_1_ratios(tmp_path):
-    legacy = {
-        "schema": 1,
-        "benchmarks": {
-            "micro-correlation-vs-oracle-ratio": {
-                "kind": "micro",
-                "seconds": 18.52,  # the smuggled ratio
-                "vectorized_seconds": 0.0002,
-                "reference_seconds": 0.0037,
-            },
-            "micro-telemetry-disabled-ratio": {
-                "kind": "micro",
-                "seconds": 1.01,
-                "bare_samples_per_sec": 200_000.0,
-            },
-            "macro-solr-workload": {"kind": "macro", "seconds": 0.29},
-        },
-    }
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps(legacy))
-    migrated = load_bench_json(str(path))
-    assert migrated["schema"] == 2
-    correlation = migrated["benchmarks"]["micro-correlation-vs-oracle-ratio"]
-    assert correlation["ratio"] == 18.52
-    assert correlation["seconds"] == 0.0002
-    telemetry = migrated["benchmarks"]["micro-telemetry-disabled-ratio"]
-    assert telemetry["ratio"] == 1.01
-    assert telemetry["seconds"] == _TELEMETRY_ITERATIONS / 200_000.0
-    # Non-ratio entries are untouched.
-    assert migrated["benchmarks"]["macro-solr-workload"]["seconds"] == 0.29
-
-
-def test_load_migration_without_throughput_disables_wall_check(tmp_path):
-    legacy = {
-        "schema": 1,
-        "benchmarks": {
-            "micro-correlation-vs-oracle-ratio": {
-                "kind": "micro", "seconds": 18.52,
-            },
-        },
-    }
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps(legacy))
-    migrated = load_bench_json(str(path))
-    entry = migrated["benchmarks"]["micro-correlation-vs-oracle-ratio"]
-    assert entry["ratio"] == 18.52
-    assert entry["seconds"] == 0.0
-
-    results = {
-        "micro-correlation-vs-oracle-ratio": BenchResult(
-            "micro-correlation-vs-oracle-ratio", "micro", 999.0,
-            ratio=MIN_CORRELATION_RATIO * 2,
-        ),
-    }
-    # A huge wall time passes because the migrated baseline has none.
-    assert check_regressions(results, str(path)) == []
+@pytest.mark.parametrize("schema", [None, 1, 3, "2"])
+def test_load_rejects_any_schema_but_2(tmp_path, schema):
+    payload = {"benchmarks": {
+        "macro-solr-workload": {"kind": "macro", "seconds": 0.29},
+    }}
+    if schema is not None:
+        payload["schema"] = schema
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="schema"):
+        load_bench_json(str(path))
 
 
 def _committed(tmp_path):

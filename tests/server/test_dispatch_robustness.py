@@ -6,8 +6,11 @@ dispatcher's full self-healing loop (failover, exclusion, re-admission,
 late-reply tolerance).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.faults import finalize_scenario, prepare_scenario, scenario_by_name
 from repro.requests import RequestSpec
 from repro.server import (
     Dispatcher,
@@ -19,6 +22,7 @@ from repro.server import (
 )
 from repro.hardware import SANDYBRIDGE
 from repro.sim import RngHub
+from repro.telemetry import MetricsRegistry
 from repro.workloads import SyntheticWorkload
 from repro.workloads.synthetic import StageSpec
 from repro.hardware.events import RateProfile
@@ -194,8 +198,14 @@ def test_total_outage_drops_requests_after_max_retries(sb_cal):
     assert sim.now == 0.6
 
 
-def test_health_stats_exports_the_full_dispatch_schema(sb_cal):
-    """``Dispatcher.health_stats()`` is the one schema chaos reports and
+def _published(dispatcher) -> dict[str, float]:
+    registry = MetricsRegistry()
+    dispatcher.publish_metrics(registry)
+    return registry.snapshot()
+
+
+def test_published_metrics_export_the_full_dispatch_schema(sb_cal):
+    """``Dispatcher.publish_metrics`` is the one schema chaos reports and
     the CI overload lane read: global counters plus per-machine exclusion
     state, all floats, stable keys."""
     cluster, dispatcher = _cluster_with_dispatcher(
@@ -203,14 +213,14 @@ def test_health_stats_exports_the_full_dispatch_schema(sb_cal):
     )
     dispatcher._record_failure("m0")
     dispatcher._record_failure("m0")  # m0 now excluded
-    stats = dispatcher.health_stats()
+    stats = _published(dispatcher)
     for key in ("completed", "dispatch_failures", "retries",
                 "dropped_requests", "failed_over", "late_replies"):
-        assert key in stats
-    assert stats["m0_consecutive_failures"] == 2.0
-    assert stats["m0_excluded"] == 1.0
-    assert stats["m1_excluded"] == 0.0
-    assert stats["m0_dispatched"] == 0.0
+        assert f"dispatch_{key}" in stats
+    assert stats["dispatch_m0_consecutive_failures"] == 2.0
+    assert stats["dispatch_m0_excluded"] == 1.0
+    assert stats["dispatch_m1_excluded"] == 0.0
+    assert stats["dispatch_m0_dispatched"] == 0.0
     assert all(isinstance(v, float) for v in stats.values())
     # Without an overload protector the overload keys stay absent: the
     # schema reflects what is actually wired, not aspirations.
@@ -236,10 +246,24 @@ def test_overload_dispatcher_serves_storms_with_exact_accounting(sb_cal):
     assert protector.rejected + protector.shed > 0
     assert protector.completed == dispatcher.completed
     assert protector.accounting_gap() == 0
-    stats = dispatcher.health_stats()
+    stats = _published(dispatcher)
     assert stats["overload_arrivals"] == float(protector.arrivals)
     assert stats["overload_accounting_gap"] == 0.0
-    assert "m0_breaker_state" in stats
+    assert "overload_m0_breaker_state" in stats
+
+
+def test_chaos_report_carries_the_shed_digest():
+    """The overload world's shed-set digest travels in the chaos report as
+    the full digest string, and the report fingerprint covers it."""
+    live = prepare_scenario(
+        scenario_by_name("arrival-storm"), seed=42, duration_scale=0.25
+    )
+    live.world.simulator.run_until(live.duration)
+    report = finalize_scenario(live)
+    assert live.world.protector.shed + live.world.protector.rejected > 0
+    assert report.shed_fingerprint == live.world.protector.shed_fingerprint()
+    tampered = replace(report, shed_fingerprint="0" * 64)
+    assert tampered.fingerprint() != report.fingerprint()
 
 
 def test_overload_breaker_composes_with_exclusion_in_is_dispatchable(sb_cal):

@@ -1,8 +1,8 @@
 """CI toolkit gates added with the batch accounting engine.
 
-Covers the ``H101`` hot-path comprehension lint rule and the perf lane's
-``--trend`` history writer -- both live under ``ci/`` and have no other
-automated coverage.
+Covers the ``H101`` hot-path comprehension and ``H200`` hashlib lint rules
+and the perf lane's ``--trend`` history writer -- all live under ``ci/``
+and have no other automated coverage.
 """
 
 import json
@@ -46,6 +46,33 @@ def test_h101_ignores_unmarked_functions(tmp_path):
         "    return [x + 1 for x in xs]\n",
     )
     assert codes == []
+
+
+def _lint_codes_at(tmp_path, relpath, source):
+    path = tmp_path / relpath
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return [f.code for f in lint_file(str(path), str(tmp_path))]
+
+
+_HASHING = "import hashlib\n\nDIGEST = hashlib.sha256(b'x').hexdigest()\n"
+
+
+def test_h200_flags_hashlib_under_src_repro(tmp_path):
+    assert _lint_codes_at(tmp_path, "src/repro/core/x.py", _HASHING) == [
+        "H200"
+    ]
+    assert _lint_codes_at(
+        tmp_path, "src/repro/y.py",
+        "def f():\n    from hashlib import sha256\n    return sha256\n",
+    ) == ["H200"]
+
+
+def test_h200_allows_fingerprint_allowlist_and_other_trees(tmp_path):
+    for relpath in ("src/repro/fingerprint.py", "src/repro/sim/rng.py",
+                    "src/repro/checkpoint/state.py", "tests/test_x.py",
+                    "ci/x.py"):
+        assert _lint_codes_at(tmp_path, relpath, _HASHING) == [], relpath
 
 
 def test_every_hot_path_marked_function_lints_clean():
