@@ -525,11 +525,13 @@ def run_transport():
     fingerprints bit-for-bit, with the channel stats proving faults
     actually fired; (2) the ``corrupt`` preset must show checksummed
     frames being *rejected* (coordinator- and worker-side) while the
-    fingerprints still match; (3) a two-fork-worker chaos run under lossy
-    transport is SIGKILLed by its own barrier-checkpoint hook -- after one
-    worker was already SIGKILLed and revived in the same run -- and
-    ``python -m repro shard --resume`` must land on the uninterrupted
-    run's fingerprints exactly.
+    fingerprints still match.  Both weather cases run on two fork
+    workers, so the scatter/gather driver keeps both links in flight at
+    once (the serial pool stands in where fork is unavailable); (3) a
+    two-fork-worker chaos run under lossy transport is SIGKILLed by its
+    own barrier-checkpoint hook -- after one worker was already SIGKILLed
+    and revived in the same run -- and ``python -m repro shard --resume``
+    must land on the uninterrupted run's fingerprints exactly.
     """
     import shutil
     import signal
@@ -540,12 +542,18 @@ def run_transport():
 
     findings = []
     baselines = {}
+    forked = []
+
+    def note_pool_mode(pool, _epoch_index):
+        forked.append(pool.parallel)
+
     for world in TRANSPORT_WORLDS:
         duration = TRANSPORT_DURATIONS[world]
         clean = run_scenario(world, n_shards=2, duration=duration)
         baselines[world] = clean.fingerprints
         faulty = run_scenario(
-            world, n_shards=2, duration=duration, transport="chaos",
+            world, n_shards=2, workers=2, duration=duration,
+            transport="chaos", pool_hook=note_pool_mode,
         )
         if _transport_faults_injected(faulty.transport_stats) == 0:
             findings.append(Finding(
@@ -560,8 +568,9 @@ def run_transport():
                     f"transport weather",
                 ))
     corrupt = run_scenario(
-        "chaos", n_shards=2, duration=TRANSPORT_DURATIONS["chaos"],
-        transport="corrupt",
+        "chaos", n_shards=2, workers=2,
+        duration=TRANSPORT_DURATIONS["chaos"], transport="corrupt",
+        pool_hook=note_pool_mode,
     )
     rejected = (
         corrupt.transport_stats.get("corrupt_rejected", 0)
@@ -635,6 +644,10 @@ def run_transport():
         f"under chaos weather + corrupt-frame rejection + coordinator "
         f"SIGKILL/resume identity"
     )
+    if forked and all(forked):
+        detail += "; weather on 2 fork workers"
+    else:  # fork unavailable: the serial pool carried the weather cases
+        detail += " (weather on the serial pool: no fork)"
     return not findings, findings, detail
 
 

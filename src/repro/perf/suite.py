@@ -88,6 +88,12 @@ _FRAME_ROUNDS = 12
 MIN_SHARD_SPEEDUP = 2.5
 _SHARD_SPEEDUP_MIN_CORES = 4
 
+#: Minimum required speedup of the same run on two fork workers
+#: (``speedup_2_workers``), enforced on hosts with at least two cores:
+#: the scatter/gather pool runs both workers' epochs at once.
+MIN_SHARD_SPEEDUP_2_WORKERS = 1.6
+_SHARD_SPEEDUP_2_MIN_CORES = 2
+
 
 @dataclass
 class BenchResult:
@@ -156,7 +162,8 @@ def bench_cluster_sharded() -> BenchResult:
     is recorded.  ``seconds`` is the single-process wall time; ``ratio``
     is the 4-worker parallel speedup (baseline / 4-worker wall time),
     which :func:`check_regressions` holds above
-    :data:`MIN_SHARD_SPEEDUP` on hosts with enough cores.
+    :data:`MIN_SHARD_SPEEDUP` on hosts with enough cores, as it holds
+    ``speedup_2_workers`` above :data:`MIN_SHARD_SPEEDUP_2_WORKERS`.
     """
     from repro.faults.harness import chaos_calibration
     from repro.hardware.specs import spec_by_name
@@ -694,6 +701,18 @@ def check_regressions(
     committed = load_bench_json(committed_path)["benchmarks"]
     problems = []
     for name, result in results.items():
+        if (
+            name == "macro-cluster-sharded"
+            and available_cores() >= _SHARD_SPEEDUP_2_MIN_CORES
+        ):
+            speedup = result.throughput.get("speedup_2_workers")
+            if speedup is None:
+                problems.append(f"{name}: no 2-worker speedup was measured")
+            elif speedup < MIN_SHARD_SPEEDUP_2_WORKERS:
+                problems.append(
+                    f"{name}: 2-worker speedup {speedup:.2f}x below "
+                    f"required {MIN_SHARD_SPEEDUP_2_WORKERS:.1f}x"
+                )
         if (
             name == "macro-cluster-sharded"
             and available_cores() >= _SHARD_SPEEDUP_MIN_CORES

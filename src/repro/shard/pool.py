@@ -2,6 +2,9 @@
 
 The pool assigns shards to long-lived fork workers (round-robin, so the
 assignment is deterministic) and drives them through the epoch protocol.
+Each epoch is a scatter/gather: every worker gets its command at once and
+runs its shards concurrently with its siblings, and the coordinator
+gathers replies in whatever order they arrive.
 ``workers=1`` -- or any platform where fork is unavailable -- degrades to
 running every shard in-process; results are identical either way because
 a shard's outputs are a pure function of its config and delivered
@@ -14,7 +17,9 @@ Every command now travels through the transport layer
 :class:`~repro.shard.transport.TransportFaultPlan` -- drop, duplicate,
 reorder, delay, and corrupt traffic in either direction, while the
 stop-and-wait exactly-once protocol keeps shard state equal to the
-fault-free run's, bit for bit.
+fault-free run's, bit for bit.  Each link owns its channel RNGs and round
+counter, so its fault schedule does not depend on the order in which the
+workers answer.
 
 **Failure handling** is a ladder:
 
@@ -70,6 +75,13 @@ _CMD_FINISH = "finish"
 _RAW_FRAMES = "frames"
 _RAW_STATS = "stats"
 _RAW_EXIT = "exit"
+
+
+def _failure_reason(exc: Exception) -> str:
+    """Revive reason for a worker failure the pool recovers from."""
+    if isinstance(exc, ConnectionError):
+        return f"pipe failure: {exc}"
+    return str(exc)
 
 
 class _ShardExecutor:
@@ -157,7 +169,7 @@ class _InProcessWorker:
         self.executor = _ShardExecutor(self.configs, self.calibrations)
         self.endpoint = WorkerEndpoint(self.executor.execute)
 
-    def exchange_frames(self, frames: list) -> list:
+    def round_trip(self, frames: list) -> list:
         return self.endpoint.handle_frames(frames)
 
     def endpoint_stats(self) -> dict:
@@ -189,20 +201,35 @@ class _ProcessWorker:
         child.close()
         self.conn = parent
 
-    def _request(self, command):
-        """One raw pipe round-trip; raises ``ConnectionError`` on death."""
+    def _send(self, command) -> None:
+        """Put one raw command on the pipe; ``ConnectionError`` on death."""
         try:
             self.conn.send(command)
-            return self.conn.recv()
-        except (EOFError, BrokenPipeError, ConnectionResetError, OSError)\
-                as exc:
+        except OSError as exc:  # broken pipe, reset, closed handle
             raise ConnectionError(str(exc)) from exc
 
-    def exchange_frames(self, frames: list) -> list:
-        return self._request((_RAW_FRAMES, frames))
+    def _recv(self):
+        """Read one raw reply off the pipe; ``ConnectionError`` on death."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise ConnectionError(str(exc)) from exc
+
+    def exchange_frames(self, frames: list) -> None:
+        """Put one protocol round's frames on the pipe (reply not read)."""
+        self._send((_RAW_FRAMES, frames))
+
+    def reply_frames(self) -> list:
+        """Read the worker's answer to the last :meth:`exchange_frames`."""
+        return self._recv()
+
+    def round_trip(self, frames: list) -> list:
+        self.exchange_frames(frames)
+        return self.reply_frames()
 
     def endpoint_stats(self) -> dict:
-        return self._request((_RAW_STATS,))
+        self._send((_RAW_STATS,))
+        return self._recv()
 
     def kill(self) -> None:
         """SIGKILL the worker (the chaos hook for restart tests)."""
@@ -309,7 +336,7 @@ class ShardPool:
     # -- transport plumbing ---------------------------------------------
     def _make_link(self, index: int) -> ReliableLink:
         return ReliableLink(
-            self._workers[index].exchange_frames,
+            self._workers[index].round_trip,
             self.transport_plan,
             seed=self.transport_seed,
             worker_index=index,
@@ -317,18 +344,76 @@ class ShardPool:
             limits=self.transport_limits,
         )
 
-    def _request(self, index: int, payload: tuple,
-                 lossless: bool = False):
-        """Deliver one command exactly once, reviving through failures."""
-        while True:
-            try:
-                return self._links[index].request(
-                    payload, self._epochs_run, lossless=lossless
-                )
-            except ConnectionError as exc:
-                self._revive(index, f"pipe failure: {exc}")
-            except WorkerUnresponsiveError as exc:
-                self._revive(index, str(exc))
+    def _broadcast(self, payloads: list[tuple]) -> dict:
+        """Deliver ``payloads[i]`` to worker ``i`` exactly once.
+
+        Returns the workers' replies merged into one dict.  Serial mode
+        runs each link to completion in turn.  Fork workers all get their
+        command at once: every link's
+        :meth:`~repro.shard.transport.ReliableLink.exchange` puts its
+        first round on its pipe, and :func:`multiprocessing.connection.wait`
+        then hands back whichever worker answers first, so each link
+        advances the moment its worker replies.  A dead pipe or a probe
+        deadline revives only that worker and restarts its exchange; the
+        others stay in flight.  No threads: a revive forks.
+        """
+        merged: dict = {}
+        if not self.parallel:
+            for index, payload in enumerate(payloads):
+                while True:
+                    try:
+                        merged.update(self._links[index].request(
+                            payload, self._epochs_run
+                        ))
+                        break
+                    except (ConnectionError, WorkerUnresponsiveError) \
+                            as exc:
+                        self._revive(index, _failure_reason(exc))
+            return merged
+        from multiprocessing.connection import wait
+
+        # Pipe -> (worker index, its exchange awaiting that pipe's reply).
+        in_flight: dict = {}
+
+        def advance(index: int, rounds=None) -> None:
+            """Feed the worker's answer to its link (or start a fresh
+            exchange) until the next round is on the pipe or it replied."""
+            while True:
+                try:
+                    if rounds is None:
+                        rounds = self._links[index].exchange(
+                            payloads[index], self._epochs_run
+                        )
+                        inbound = None
+                    else:
+                        inbound = self._workers[index].reply_frames()
+                    frames = rounds.send(inbound)
+                    worker = self._workers[index]
+                    worker.exchange_frames(frames)
+                    in_flight[worker.conn] = (index, rounds)
+                    return
+                except StopIteration as done:
+                    merged.update(done.value)
+                    return
+                except (ConnectionError, WorkerUnresponsiveError) as exc:
+                    self._revive(index, _failure_reason(exc))
+                    rounds = None
+
+        try:
+            for index in range(len(payloads)):
+                advance(index)
+            while in_flight:
+                for conn in wait(list(in_flight)):
+                    advance(*in_flight.pop(conn))
+        finally:
+            # A terminal error leaves siblings mid-round: read their
+            # answers so every pipe is idle again.
+            for index, _rounds in in_flight.values():
+                try:
+                    self._workers[index].reply_frames()
+                except ConnectionError:
+                    pass
+        return merged
 
     # -- crash recovery -------------------------------------------------
     def kill_worker(self, index: int = 0) -> None:
@@ -450,16 +535,15 @@ class ShardPool:
         faults cost retransmit rounds, dead workers cost a revive +
         replay -- neither ever changes results.
         """
-        merged: dict[int, tuple] = {}
-        for index, worker in enumerate(self._workers):
-            owned = [config.shard_id for config in worker.configs]
-            payload = (
+        merged = self._broadcast([
+            (
                 _CMD_EPOCH, end,
-                {shard_id: directives.get(shard_id, [])
-                 for shard_id in owned},
+                {config.shard_id: directives.get(config.shard_id, [])
+                 for config in worker.configs},
                 self.verify,
             )
-            merged.update(self._request(index, payload))
+            for worker in self._workers
+        ])
         completions: list[list[tuple]] = []
         failovers: list[list[tuple]] = []
         frames: list = []
@@ -481,10 +565,7 @@ class ShardPool:
 
     def finish(self) -> dict[int, dict]:
         """Collect every shard's final payload (shard id -> payload)."""
-        merged: dict[int, dict] = {}
-        for index in range(len(self._workers)):
-            merged.update(self._request(index, (_CMD_FINISH,)))
-        return merged
+        return self._broadcast([(_CMD_FINISH,)] * len(self._workers))
 
     # -- diagnostics -----------------------------------------------------
     def transport_stats(self) -> dict[str, int]:

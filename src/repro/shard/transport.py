@@ -29,11 +29,13 @@ application: a worker applies command ``seq`` only when it is exactly
 ``last_applied + 1``, re-sends its cached reply for anything older, and
 never executes anything twice.  Retransmits use deterministic doubling
 backoff measured in protocol *rounds* (one pipe round-trip per round --
-the epoch exchange's unit of virtual time).  The link doubles as the
-failure detector: ``probe_after`` silent rounds trigger heartbeat probes,
-``dead_after`` silent rounds declare the worker dead
-(:class:`WorkerUnresponsiveError`, which the pool converts into a
-revive), and ``max_rounds`` bounds the whole exchange
+the epoch exchange's unit of virtual time).  The protocol is sans-IO
+(:meth:`ReliableLink.exchange` yields each round's frames), so each link
+is stop-and-wait while the pool keeps every worker's link in flight at
+once.  The link doubles as the failure detector: ``probe_after`` silent
+rounds trigger heartbeat probes, ``dead_after`` silent rounds declare
+the worker dead (:class:`WorkerUnresponsiveError`, which the pool
+converts into a revive), and ``max_rounds`` bounds the whole exchange
 (:class:`TransportTimeoutError`).
 """
 
@@ -571,10 +573,14 @@ class ReliableLink:
     One outstanding command at a time.  Each protocol round performs one
     pipe round-trip: push outbound frames through the ``c2w`` channel,
     exchange whatever is due, pull inbound frames back through ``w2c``.
-    Retransmits follow the :class:`TransportLimits` doubling backoff;
-    silence beyond ``probe_after`` rounds adds heartbeat probes, and
-    silence beyond ``dead_after`` raises :class:`WorkerUnresponsiveError`
-    for the pool's failure handling to convert into a revive.
+    The protocol lives in the sans-IO :meth:`exchange` generator, so a
+    caller can keep many links' rounds in flight at once;
+    :meth:`request` drives one link to completion over the blocking
+    ``exchange`` callable given at construction.  Retransmits follow the
+    :class:`TransportLimits` doubling backoff; silence beyond
+    ``probe_after`` rounds adds heartbeat probes, and silence beyond
+    ``dead_after`` raises :class:`WorkerUnresponsiveError` for the pool's
+    failure handling to convert into a revive.
     """
 
     def __init__(
@@ -610,29 +616,26 @@ class ReliableLink:
         self.acked = 0
         self.stats = dict.fromkeys(LINK_STATS, 0)
 
-    def _round_trip(self, outbound: list[tuple], epoch: int,
-                    lossless: bool) -> list[tuple]:
-        if lossless or self.plan is None:
-            return self._exchange(outbound)
-        for frame in outbound:
-            self.c2w.send(frame, epoch)
-        raw = self._exchange(self.c2w.take_due())
-        for frame in raw:
-            self.w2c.send(frame, epoch)
-        return self.w2c.take_due()
+    def exchange(self, payload: object, epoch: int, lossless: bool = False):
+        """Sans-IO delivery of ``payload``: a generator over protocol rounds.
 
-    def request(self, payload: object, epoch: int,
-                lossless: bool = False) -> object:
-        """Deliver ``payload`` exactly once; returns the worker's reply.
+        Each step yields the frames this round puts on the wire (already
+        through the ``c2w`` channel) and must be sent the raw frames the
+        worker answered with (which pass through ``w2c`` here).  Returns
+        the worker's reply once it arrives.  Every round yields exactly
+        once, even when the channel has nothing due, so a link's fault
+        schedule depends only on its own seeds and round count -- never
+        on how the caller interleaves several links.
 
         ``lossless`` bypasses the fault channels (replay after a revive
         runs on a fresh, fault-free link so recovery itself cannot be
-        re-faulted into a livelock).  Raises ``ConnectionError`` if the
-        underlying pipe dies, :class:`WorkerUnresponsiveError` if the
-        worker stays silent past the detector deadline, and
-        :class:`TransportTimeoutError` at the hard round bound.
+        re-faulted into a livelock).  Raises
+        :class:`WorkerUnresponsiveError` if the worker stays silent past
+        the detector deadline and :class:`TransportTimeoutError` at the
+        hard round bound.
         """
         limits = self.limits
+        faulty = not lossless and self.plan is not None
         seq = self.next_seq
         self.next_seq += 1
         self.stats["requests"] += 1
@@ -655,7 +658,15 @@ class ReliableLink:
             if silent >= limits.probe_after:
                 outbound.append(make_frame(FRAME_PROBE, 0, self.acked, None))
                 self.stats["probes_sent"] += 1
-            inbound = self._round_trip(outbound, epoch, lossless)
+            if faulty:
+                for frame in outbound:
+                    self.c2w.send(frame, epoch)
+                outbound = self.c2w.take_due()
+            inbound = yield outbound
+            if faulty:
+                for frame in inbound:
+                    self.w2c.send(frame, epoch)
+                inbound = self.w2c.take_due()
             heard = False
             reply = None
             for frame in inbound:
@@ -684,6 +695,21 @@ class ReliableLink:
             f"worker {self.worker_index}: exchange for seq {seq} exceeded "
             f"{limits.max_rounds} rounds"
         )
+
+    def request(self, payload: object, epoch: int,
+                lossless: bool = False) -> object:
+        """Blocking :meth:`exchange`: one ``exchange`` callable per round.
+
+        Raises ``ConnectionError`` if the underlying pipe dies, plus
+        everything :meth:`exchange` raises.
+        """
+        rounds = self.exchange(payload, epoch, lossless)
+        try:
+            frames = next(rounds)
+            while True:
+                frames = rounds.send(self._exchange(frames))
+        except StopIteration as done:
+            return done.value
 
     def combined_stats(self) -> dict[str, int]:
         """Link counters plus both channels' (prefixed) counters."""

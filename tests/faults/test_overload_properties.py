@@ -17,12 +17,18 @@ Worlds are expensive, so examples are few and the run is short; the fixed
 chaos scenarios cover the long-duration cases.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults import FaultPlan, build_overload_world
 
 DURATION = 0.45
 TOLERANCE = 0.35
+
+#: Storm multiplier at which the admission buckets saturate.  The balancer
+#: splits arrivals over both machines and each machine's bucket refills
+#: at the full base cluster rate, so a storm up to 2x base can leave
+#: every bucket unexhausted and shed nothing.
+SATURATION = 2.0
 
 
 def _run_storm(seed, multiplier):
@@ -41,10 +47,16 @@ def _run_storm(seed, multiplier):
 @settings(max_examples=4, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    multiplier=st.floats(min_value=2.0, max_value=8.0),
+    overload=st.floats(min_value=1.5, max_value=4.0),
 )
-def test_property_shed_requests_contribute_no_energy(seed, multiplier):
-    world = _run_storm(seed, multiplier)
+# This draw once meant a 2x-base storm, which shed and rejected nothing;
+# the second example holds the same seed at the 3x-base floor.
+@example(seed=39524, overload=2.0)
+@example(seed=39524, overload=1.5)
+def test_property_shed_requests_contribute_no_energy(seed, overload):
+    # Storms are drawn as multiples of the saturation point, so every
+    # example overloads the buckets (3x..8x base).
+    world = _run_storm(seed, SATURATION * overload)
     protector = world.protector
 
     # The storm actually overloaded something (otherwise the example is

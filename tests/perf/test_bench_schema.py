@@ -20,6 +20,7 @@ from repro.perf.suite import (
     MAX_TELEMETRY_DISABLED_RATIO,
     MIN_ACCOUNTING_RATIO,
     MIN_CORRELATION_RATIO,
+    MIN_SHARD_SPEEDUP_2_WORKERS,
 )
 
 
@@ -129,6 +130,44 @@ def test_check_regressions_flags_missing_ratio(tmp_path):
     assert problems == [
         "micro-accounting-vs-oracle-ratio: no ratio was measured"
     ]
+
+
+def _sharded(speedup_2_workers):
+    """A sharded-cluster result whose 4-worker ratio passes any floor."""
+    return BenchResult(
+        "macro-cluster-sharded", "macro", 2.0,
+        throughput={"speedup_2_workers": speedup_2_workers}, ratio=4.0,
+    )
+
+
+@pytest.mark.parametrize("speedup, ok", [
+    (MIN_SHARD_SPEEDUP_2_WORKERS + 0.05, True),
+    (MIN_SHARD_SPEEDUP_2_WORKERS - 0.05, False),
+])
+def test_two_worker_speedup_floor(tmp_path, monkeypatch, speedup, ok):
+    monkeypatch.setattr(
+        "repro.analysis.parallel.available_cores", lambda: 2
+    )
+    results = _results(**{"macro-cluster-sharded": _sharded(speedup)})
+    path = str(tmp_path / "committed.json")
+    write_bench_json(results, path)
+    problems = check_regressions(results, path)
+    if ok:
+        assert problems == []
+    else:
+        assert len(problems) == 1
+        assert "2-worker speedup" in problems[0]
+        assert "below required" in problems[0]
+
+
+def test_two_worker_speedup_floor_needs_two_cores(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        "repro.analysis.parallel.available_cores", lambda: 1
+    )
+    results = _results(**{"macro-cluster-sharded": _sharded(1.0)})
+    path = str(tmp_path / "committed.json")
+    write_bench_json(results, path)
+    assert check_regressions(results, path) == []
 
 
 def test_committed_bench_json_is_schema_2_with_real_wall_times():

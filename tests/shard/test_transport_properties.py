@@ -7,7 +7,9 @@ transport/restore error -- it must never complete with divergent
 fingerprints.  Both invariance worlds are exercised: the happy-path Solr
 macro world and the chaos world (machine crashes + failover in the loop),
 because a transport bug that only bites during failover replay is exactly
-the kind this property exists to catch.
+the kind this property exists to catch.  The worker count is drawn too:
+one worker runs the serial in-process link, two fork workers run the
+scatter/gather driver with both links in flight at once.
 """
 
 import functools
@@ -30,8 +32,9 @@ KEYS = ("report", "shed", "batch", "energy")
 _PLAN_EPOCHS = 10
 
 
-def _config(world: str) -> ShardRunConfig:
+def _config(world: str, workers: int = 1) -> ShardRunConfig:
     values = dict(
+        workers=workers,
         workload="solr",
         n_machines=4,
         n_shards=2,
@@ -57,15 +60,17 @@ def _baseline(world: str):
     plan_seed=st.integers(min_value=0, max_value=2**32 - 1),
     transport_seed=st.integers(min_value=0, max_value=2**16),
     world=st.sampled_from(("solr", "chaos")),
+    workers=st.sampled_from((1, 2)),
 )
-def test_random_weather_never_diverges(plan_seed, transport_seed, world):
+def test_random_weather_never_diverges(plan_seed, transport_seed, world,
+                                       workers):
     plan = TransportFaultPlan.random(
         np.random.default_rng(plan_seed), _PLAN_EPOCHS,
         max_windows=3, max_prob=0.5,
     )
     try:
         result = run_sharded(
-            _config(world), transport_plan=plan,
+            _config(world, workers), transport_plan=plan,
             transport_seed=transport_seed,
         )
     except (TransportError, RestoreMismatchError):
