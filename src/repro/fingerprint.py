@@ -83,13 +83,23 @@ def canonical(value) -> str:
     return "".join(out)
 
 
+def _utf8(text: str) -> bytes:
+    """UTF-8 bytes of any ``str``, lone surrogates included.
+
+    ``surrogatepass`` leaves every encodable string byte-identical to plain
+    ``str.encode()``, so it only extends the domain; it never moves an
+    existing digest.
+    """
+    return text.encode("utf-8", "surrogatepass")
+
+
 def digest(value) -> str:
     """SHA-256 (64 hex chars) of ``canonical(value)``.
 
     ``value`` is any plain data :func:`canonical` accepts -- a report
     tuple, a list of pre-rendered lines, a list of dataclass records.
     """
-    return hashlib.sha256(canonical(value).encode()).hexdigest()
+    return hashlib.sha256(_utf8(canonical(value))).hexdigest()
 
 
 def chain(prev_hex: str, lines) -> str:
@@ -104,4 +114,4 @@ def chain(prev_hex: str, lines) -> str:
     text = "\n".join(lines)
     if text.count("\n") != len(lines) - 1:
         raise ValueError("chain() lines must not contain newlines")
-    return hashlib.sha256(f"{prev_hex}\n{text}".encode()).hexdigest()
+    return hashlib.sha256(_utf8(f"{prev_hex}\n{text}")).hexdigest()

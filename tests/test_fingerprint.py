@@ -9,6 +9,7 @@
 """
 
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fingerprint import canonical, chain, digest
 
@@ -69,7 +70,9 @@ def test_dataclasses_sharing_a_string_encode_like_copies(points):
     name = points[0].machine
     shared = [_Point(name, p.load, p.completed) for p in points]
     copied = [
-        _Point(name.encode().decode(), p.load, p.completed) for p in points
+        _Point(name.encode("utf-8", "surrogatepass").decode(
+            "utf-8", "surrogatepass"), p.load, p.completed)
+        for p in points
     ]
     assert canonical(shared) == canonical(copied)
     assert digest(shared) == digest(copied)
@@ -130,6 +133,7 @@ def test_digest_has_one_length():
     ),
     split=st.integers(min_value=0),
 )
+@example(batches=[[], ["\ud800"]], split=0)
 def test_chain_state_round_trips_through_a_snapshot(batches, split):
     seed = digest("test-chain")
     cut = split % len(batches)
@@ -154,3 +158,13 @@ def test_chain_is_order_sensitive_and_skips_empty_batches():
     assert chain(chain(seed, ["a"]), ["b"]) != chain(seed, ["a", "b"])
     with pytest.raises(ValueError, match="newline"):
         chain(seed, ["a\nb"])
+
+
+def test_lone_surrogates_fingerprint_like_any_other_text():
+    # Any str is a valid value, including ones plain UTF-8 cannot encode.
+    seed = digest("test-chain")
+    assert chain(seed, ["\ud800"]) != chain(seed, ["\udc00"])
+    assert digest("\ud800") != digest("\udc00")
+    # Encodable text hashes exactly as with a plain str.encode().
+    assert digest("caf\u00e9") == hashlib.sha256(
+        canonical("caf\u00e9").encode()).hexdigest()
