@@ -264,12 +264,19 @@ def run_perf_lane(trend: bool = False):
     and every run appends a one-line JSON summary to
     ``results/BENCH_history.jsonl`` so the Actions artifact accumulates a
     queryable per-commit trend.
+
+    The repository benchmark's own self-tests (``pytest perfbench``) run
+    first: ``testpaths`` covers only ``tests/``, so nothing else does.
     """
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from ci.determinism import _run_once
     from repro.perf import check_regressions, run_suite
 
-    findings = []
+    ok, findings, _label = _subprocess_lane(
+        [sys.executable, "-m", "pytest", "perfbench", "-q",
+         "-p", "no:cacheprovider"],
+        "pytest perfbench", extra_env={"CI": "true"},
+    )
     before = _run_once()
     results = run_suite()
     problems = check_regressions(
@@ -286,7 +293,8 @@ def run_perf_lane(trend: bool = False):
                 f"fingerprint {key!r} differs across the perf suite -- "
                 f"a benchmark perturbed global state",
             ))
-    detail = (f"{len(results)} benchmarks, "
+    detail = (f"perfbench self-tests {'passed' if ok else 'FAILED'}, "
+              f"{len(results)} benchmarks, "
               f"{len(before)} fingerprint keys compared")
     if trend:
         _append_trend_history(results, problems)

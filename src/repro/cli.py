@@ -344,9 +344,10 @@ def cmd_trace(args) -> int:
         directory = os.path.dirname(out)
         if directory:
             os.makedirs(directory, exist_ok=True)
+        tracer = aggregator.tracer  # decodes the retained ring once
         with open(out, "w") as handle:
-            handle.write(aggregator.to_chrome_json())
-        print(aggregator.tracer.timeline(limit=args.limit))
+            handle.write(tracer.to_chrome_json())
+        print(tracer.timeline(limit=args.limit))
         print(
             f"{aggregator.events_merged} events merged from "
             f"{aggregator.frames_merged} frames across "

@@ -1,19 +1,23 @@
-"""Cross-shard telemetry aggregation: frames, k-way merge, observability.
+"""Cross-shard telemetry aggregation: frames, barrier merge, observability.
 
 Sharded runs (``repro.shard``) execute each :class:`ShardWorld` in its
 own process, so a per-shard ``Telemetry`` handle records spans, instants,
 and metrics nobody can see.  This module closes the loop:
 
 * :class:`FrameDrain` (worker side) drains the tracer ring and the metric
-  registry at every epoch barrier into a :class:`TelemetryFrame` -- a
-  plain-data, checksummed wire record carrying ``(now, track, seq, kind,
-  name, args)`` event tuples plus metric *deltas* since the previous
-  barrier;
-* :class:`TelemetryAggregator` (coordinator side) k-way-merges frames by
-  ``(now, track, seq)`` into one global stream, folds metric deltas into
-  a global registry, and maintains a barrier-chained streaming
-  fingerprint so the merged ``trace_fingerprint()`` never needs the full
-  event list in memory;
+  registry at every epoch barrier into a :class:`TelemetryFrame`.  The
+  worker renders every event's canonical fingerprint line there, in
+  parallel with the other workers, and ships ``(now, track, seq, kind,
+  name, args)`` event tuples, the ``"\\n"``-joined lines, metric *deltas*
+  since the previous barrier and the drop count as one pickled body
+  under a CRC32;
+* :class:`TelemetryAggregator` (coordinator side) verifies each body's
+  CRC before unpickling it, merges a barrier's frames with one
+  ``sorted()`` over ``(event, line)`` pairs keyed by ``(now, track,
+  seq)``, folds the merged lines into a barrier-chained streaming
+  fingerprint and the metric deltas into a global registry, and keeps
+  the Chrome-trace ring as the compact received bodies, decoded only on
+  export;
 * :class:`ClusterObservability` composes the aggregator with the
   :class:`~repro.telemetry.store.TelemetryStore` rollups and the
   :class:`~repro.telemetry.anomaly.AnomalyEngine` detectors into the one
@@ -27,14 +31,20 @@ assigned in recording order, making ``(now, track, seq)`` unique and --
 because a machine's event stream depends only on its directives, never on
 which shard hosts it -- identical for any shard or worker count.  Frames
 drained at the same barrier cover the same sim-time window everywhere,
-so the per-barrier chained fingerprint is invariant too.
+so the per-barrier chained fingerprint is invariant too.  Uniqueness is
+also what lets the merge sort plain ``(event, line)`` tuples: two pairs
+always differ within their first three fields, so the comparison never
+reaches the rest of the event or the line.
 
 **Why replay/crash recovery is safe.**  A revived worker replays the
 directive history and regenerates the exact same frames (the drain is a
 pure function of configuration plus directives); the pool discards
 replayed frames because the coordinator already ingested those barriers,
 and the drain's frame-chain digest inside ``state_summary()`` proves the
-regenerated telemetry matches what the dead worker shipped.
+regenerated telemetry matches what the dead worker shipped.  That digest
+covers frame *values* (rendered lines, metric deltas, drop count), not
+body bytes: pickle's memo makes the bytes depend on which objects happen
+to be shared.
 
 Nothing here feeds back into the simulation: report/shed/batch/energy
 fingerprints are bit-identical with telemetry on, off, or absent.
@@ -42,8 +52,11 @@ fingerprints are bit-identical with telemetry on, off, or absent.
 
 from __future__ import annotations
 
-import heapq
+import itertools
+import pickle
 import zlib
+from collections import Counter, deque
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from repro.fingerprint import chain, digest
@@ -68,25 +81,36 @@ class FrameChecksumError(ValueError):
     """A telemetry frame failed checksum or shape validation."""
 
 
-def _event_key(event: tuple) -> tuple:
-    """The global merge key: ``(now, track, seq)``."""
-    return (event[0], event[1], event[2])
+def _header_crc(shard_id: int, epoch_index: int) -> int:
+    return zlib.crc32(repr((FRAME_TAG, shard_id, epoch_index)).encode())
+
+
+def _render(event: tuple) -> str:
+    """The canonical line of one ``(now, track, seq, kind, name, args)``."""
+    now, track, _seq, kind, name, args = event
+    return TraceSpanEvent(kind, now, track, name, tuple(args)).canonical()
 
 
 class TelemetryFrame:
-    """One barrier's telemetry from one shard, as checksummed plain data.
+    """One barrier's telemetry from one shard, as one CRC-checked body.
 
     ``events`` is a tuple of ``(now, track, seq, kind, name, args)``
     tuples sorted by ``(now, track, seq)``; ``args`` is the tracer's
-    sorted ``(key, value)`` pair tuple.  ``metrics`` is a tuple of delta
-    entries (see :func:`metric_deltas`).  ``dropped`` counts ring-buffer
-    evictions since the previous barrier (diagnostic only -- excluded
-    from merge fingerprints so ring pressure cannot break invariance).
+    sorted ``(key, value)`` pair tuple.  ``lines`` holds each event's
+    :meth:`TraceSpanEvent.canonical` rendering, ``"\\n"``-joined in the
+    same order.  ``metrics`` is a tuple of delta entries (see
+    :func:`metric_deltas`).  ``dropped`` counts ring-buffer evictions
+    since the previous barrier (diagnostic only -- excluded from merge
+    fingerprints so ring pressure cannot break invariance).
+
+    ``body`` is ``pickle.dumps((events, lines, metrics, dropped))`` and
+    ``checksum`` the CRC32 over the header ``(tag, shard_id,
+    epoch_index)`` and every byte of ``body``.
     """
 
     __slots__ = (
-        "shard_id", "epoch_index", "events", "metrics", "dropped",
-        "checksum",
+        "shard_id", "epoch_index", "events", "lines", "metrics", "dropped",
+        "body", "checksum",
     )
 
     def __init__(
@@ -94,25 +118,20 @@ class TelemetryFrame:
         shard_id: int,
         epoch_index: int,
         events: tuple,
+        lines: str,
         metrics: tuple,
         dropped: int,
+        body: bytes,
         checksum: int,
     ) -> None:
         self.shard_id = shard_id
         self.epoch_index = epoch_index
         self.events = events
+        self.lines = lines
         self.metrics = metrics
         self.dropped = dropped
+        self.body = body
         self.checksum = checksum
-
-    @staticmethod
-    def _body_checksum(
-        shard_id: int, epoch_index: int, events: tuple, metrics: tuple,
-        dropped: int,
-    ) -> int:
-        return zlib.crc32(repr(
-            (FRAME_TAG, shard_id, epoch_index, events, metrics, dropped)
-        ).encode())
 
     @classmethod
     def build(
@@ -122,43 +141,75 @@ class TelemetryFrame:
         events: tuple,
         metrics: tuple,
         dropped: int,
+        lines: Optional[str] = None,
     ) -> "TelemetryFrame":
-        """Construct a frame, computing its checksum."""
+        """Construct a frame, rendering ``lines`` unless given."""
+        if lines is None:
+            lines = "\n".join(map(_render, events))
+        body = pickle.dumps(
+            (events, lines, metrics, dropped),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         return cls(
-            shard_id, epoch_index, events, metrics, dropped,
-            cls._body_checksum(
-                shard_id, epoch_index, events, metrics, dropped
-            ),
+            shard_id, epoch_index, events, lines, metrics, dropped, body,
+            zlib.crc32(body, _header_crc(shard_id, epoch_index)),
+        )
+
+    def value_checksum(self) -> int:
+        """CRC32 of the frame's values, independent of the body bytes."""
+        header = repr((
+            FRAME_TAG, self.shard_id, self.epoch_index, len(self.events),
+            self.metrics, self.dropped,
+        )).encode()
+        return zlib.crc32(
+            self.lines.encode("utf-8", "surrogatepass"), zlib.crc32(header)
         )
 
     def to_wire(self) -> tuple:
-        """Plain-data tuple for the shard wire protocol."""
+        """``(tag, shard_id, epoch_index, body, crc32)`` for the wire."""
         return (
-            FRAME_TAG, self.shard_id, self.epoch_index, self.events,
-            self.metrics, self.dropped, self.checksum,
+            FRAME_TAG, self.shard_id, self.epoch_index, self.body,
+            self.checksum,
         )
 
     @classmethod
     def from_wire(cls, wire: tuple) -> "TelemetryFrame":
-        """Validate shape + checksum and rebuild the frame."""
-        if not isinstance(wire, tuple) or len(wire) != 7:
+        """Validate shape + CRC, then unpickle the body.
+
+        The CRC is checked before ``pickle.loads`` ever sees the body, so
+        a corrupted body is rejected rather than decoded.
+        """
+        if not isinstance(wire, tuple) or len(wire) != 5:
             raise FrameChecksumError(
-                f"telemetry frame wire must be a 7-tuple, got {wire!r}"
+                f"telemetry frame wire must be a 5-tuple, got {wire!r}"
             )
-        tag, shard_id, epoch_index, events, metrics, dropped, checksum = wire
+        tag, shard_id, epoch_index, body, checksum = wire
         if tag != FRAME_TAG:
             raise FrameChecksumError(
                 f"telemetry frame tag must be {FRAME_TAG!r}, got {tag!r}"
             )
-        expected = cls._body_checksum(
-            shard_id, epoch_index, events, metrics, dropped
-        )
+        if not isinstance(body, bytes):
+            raise FrameChecksumError(
+                f"telemetry frame body must be bytes, got "
+                f"{type(body).__name__}"
+            )
+        expected = zlib.crc32(body, _header_crc(shard_id, epoch_index))
         if checksum != expected:
             raise FrameChecksumError(
                 f"telemetry frame checksum mismatch for shard {shard_id} "
                 f"epoch {epoch_index}: got {checksum}, expected {expected}"
             )
-        return cls(shard_id, epoch_index, events, metrics, dropped, checksum)
+        decoded = pickle.loads(body)
+        if not isinstance(decoded, tuple) or len(decoded) != 4:
+            raise FrameChecksumError(
+                "telemetry frame body must unpickle to (events, lines, "
+                "metrics, dropped)"
+            )
+        events, lines, metrics, dropped = decoded
+        return cls(
+            shard_id, epoch_index, events, lines, metrics, dropped, body,
+            checksum,
+        )
 
 
 def metric_deltas(previous: dict, current: dict) -> tuple:
@@ -226,10 +277,11 @@ class FrameDrain:
 
     Persistent per-track ``seq`` counters make event keys unique across
     the whole run; the drain empties the tracer ring each barrier (memory
-    stays bounded regardless of run length) and snapshots the registry to
-    compute deltas.  ``chain``/``frames`` summarize everything shipped so
-    far -- folded into ``state_summary()`` so replay verification covers
-    telemetry byte-for-byte.
+    stays bounded regardless of run length), renders each event's
+    canonical line exactly once, and snapshots the registry to compute
+    deltas.  ``chain``/``frames`` summarize everything shipped so far --
+    folded into ``state_summary()`` so replay verification covers
+    telemetry value-for-value.
     """
 
     def __init__(self, telemetry: Telemetry) -> None:
@@ -243,26 +295,29 @@ class FrameDrain:
     def drain(self, shard_id: int, epoch_index: int) -> TelemetryFrame:
         """Drain everything recorded since the previous barrier."""
         tracer = self.telemetry.tracer
-        events = []
+        pairs = []
         for event in tracer.events:
             seq = self._seq.get(event.track, 0)
             self._seq[event.track] = seq + 1
-            events.append((
-                event.now, event.track, seq, event.kind, event.name,
-                event.args,
+            pairs.append((
+                (event.now, event.track, seq, event.kind, event.name,
+                 event.args),
+                event.canonical(),
             ))
         tracer.events.clear()
-        events.sort(key=_event_key)
+        pairs.sort()  # by (now, track, seq): unique, so never by line
         dropped = tracer.dropped_events - self._last_dropped
         self._last_dropped = tracer.dropped_events
         current = self.telemetry.registry.snapshot_state()["metrics"]
         deltas = metric_deltas(self._last_metrics, current)
         self._last_metrics = current
         frame = TelemetryFrame.build(
-            shard_id, epoch_index, tuple(events), deltas, dropped
+            shard_id, epoch_index,
+            tuple(map(itemgetter(0), pairs)), deltas, dropped,
+            lines="\n".join(map(itemgetter(1), pairs)),
         )
         self.frames += 1
-        self.chain = chain(self.chain, [str(frame.checksum)])
+        self.chain = chain(self.chain, [str(frame.value_checksum())])
         return frame
 
     def summary(self) -> dict:
@@ -270,21 +325,46 @@ class FrameDrain:
         return {"frames": self.frames, "chain": self.chain}
 
 
-class TelemetryAggregator:
-    """Coordinator-side k-way merge of per-shard telemetry frames.
+def _instant_names(events: tuple):
+    """Names of the instant events in ``events``, without a Python loop."""
+    kinds = map(itemgetter(3), events)
+    return itertools.compress(
+        map(itemgetter(4), events), map(KIND_INSTANT.__eq__, kinds)
+    )
 
-    The streaming fingerprint folds each barrier's merged canonical event
-    lines into one :func:`~repro.fingerprint.chain` step, so invariance
-    holds without retaining events.  A bounded :class:`RequestTracer` is kept for Chrome-trace
-    export when ``retain`` is true (the default); flash-scale runs can
-    turn it off and still fingerprint/aggregate everything.
+
+class TelemetryAggregator:
+    """Coordinator-side merge of per-shard telemetry frames.
+
+    Per barrier, :meth:`ingest` does only C-level work per event: CRC
+    check and unpickle, one ``sorted()`` over ``(event, line)`` pairs
+    (skipped when one frame carries all the events), one
+    :func:`~repro.fingerprint.chain` step over the merged worker-rendered
+    lines, and an instant count.  It never builds a
+    :class:`TraceSpanEvent`.
+
+    With ``retain`` true (the default) the last ``capacity`` merged
+    events are kept for Chrome-trace export -- as the received frame
+    bodies, one entry per barrier, trimmed whole while the rest still
+    hold ``capacity`` events.  :attr:`tracer` (and through it
+    :meth:`to_chrome_json` and :meth:`snapshot_state`) decodes them into
+    the same :class:`RequestTracer` an eager ring would hold, drop count
+    included.  Flash-scale runs can turn retention off and still
+    fingerprint/aggregate everything.
     """
 
     def __init__(self, capacity: int = 65536, retain: bool = True) -> None:
+        if retain and capacity <= 0:
+            raise ValueError("tracer capacity must be positive")
         self.registry = MetricsRegistry()
-        self.tracer: Optional[RequestTracer] = (
-            RequestTracer(capacity=capacity) if retain else None
-        )
+        self.capacity = capacity
+        self.retain = retain
+        #: ``(n_events, bodies)`` per barrier, oldest first.
+        self._ring: deque = deque()
+        self._ring_events = 0
+        #: Events ever appended to the ring, and evictions before that.
+        self._ring_appended = 0
+        self._ring_dropped_base = 0
         self.chain = MERGE_CHAIN_SEED
         self.events_merged = 0
         self.frames_merged = 0
@@ -297,33 +377,73 @@ class TelemetryAggregator:
         tuples (validated here); ``None`` entries (shards with telemetry
         off) are skipped.
         """
-        decoded = []
-        for frame in frames:
-            if frame is None:
-                continue
-            if not isinstance(frame, TelemetryFrame):
-                frame = TelemetryFrame.from_wire(frame)
-            decoded.append(frame)
-        decoded.sort(key=lambda f: f.shard_id)
-        instant_counts: dict[str, int] = {}
-        lines = []
-        for event in heapq.merge(
-            *(frame.events for frame in decoded), key=_event_key
-        ):
-            now, track, _seq, kind, name, args = event
-            span = TraceSpanEvent(kind, now, track, name, tuple(args))
-            lines.append(span.canonical())
-            if self.tracer is not None:
-                self.tracer._append(span)
-            if kind == KIND_INSTANT:
-                instant_counts[name] = instant_counts.get(name, 0) + 1
-        self.events_merged += len(lines)
-        self.chain = chain(self.chain, lines)
+        decoded = sorted(
+            (
+                frame if isinstance(frame, TelemetryFrame)
+                else TelemetryFrame.from_wire(frame)
+                for frame in frames if frame is not None
+            ),
+            key=attrgetter("shard_id"),
+        )
+        carrying = [frame for frame in decoded if frame.events]
+        instant_counts: Counter = Counter()
+        per_frame = []
+        for frame in carrying:
+            lines = frame.lines.split("\n")
+            if len(lines) != len(frame.events):
+                raise ValueError("chain() lines must not contain newlines")
+            per_frame.append(lines)
+            instant_counts.update(_instant_names(frame.events))
+        if len(carrying) == 1:
+            merged = per_frame[0]
+        else:
+            pairs = sorted(itertools.chain.from_iterable(
+                zip(frame.events, lines)
+                for frame, lines in zip(carrying, per_frame)
+            ))
+            merged = list(map(itemgetter(1), pairs))
+        self.events_merged += len(merged)
+        self.chain = chain(self.chain, merged)
+        if self.retain and merged:
+            self._retain(len(merged), tuple(f.body for f in carrying))
         for frame in decoded:
             apply_metric_deltas(self.registry, frame.metrics)
             self.dropped_total += frame.dropped
             self.frames_merged += 1
-        return instant_counts
+        return dict(instant_counts)
+
+    def _retain(self, n_events: int, bodies: tuple) -> None:
+        self._ring.append((n_events, bodies))
+        self._ring_events += n_events
+        self._ring_appended += n_events
+        while self._ring_events - self._ring[0][0] >= self.capacity:
+            self._ring_events -= self._ring.popleft()[0]
+
+    def _ring_tail(self) -> deque:
+        """The last ``capacity`` merged event tuples, decoded."""
+        tail: deque = deque(maxlen=self.capacity)
+        for _n, bodies in self._ring:
+            parts = [pickle.loads(body)[0] for body in bodies]
+            tail.extend(
+                parts[0] if len(parts) == 1
+                else sorted(itertools.chain.from_iterable(parts))
+            )
+        return tail
+
+    @property
+    def tracer(self) -> Optional[RequestTracer]:
+        """A decoded copy of the retained ring (``None`` if not kept)."""
+        if not self.retain:
+            return None
+        tracer = RequestTracer(capacity=self.capacity)
+        tracer.events.extend(
+            TraceSpanEvent(kind, now, track, name, tuple(args))
+            for now, track, _seq, kind, name, args in self._ring_tail()
+        )
+        tracer.dropped_events = self._ring_dropped_base + max(
+            0, self._ring_appended - self.capacity
+        )
+        return tracer
 
     def trace_fingerprint(self) -> str:
         """Chained digest of the merged stream (shard-count-invariant)."""
@@ -333,7 +453,7 @@ class TelemetryAggregator:
         return self.registry.exposition()
 
     def to_chrome_json(self, indent: Optional[int] = None) -> str:
-        if self.tracer is None:
+        if not self.retain:
             raise ValueError(
                 "aggregator built with retain=False keeps no events"
             )
@@ -341,6 +461,7 @@ class TelemetryAggregator:
 
     # -- checkpoint protocol --------------------------------------------
     def snapshot_state(self) -> dict:
+        tracer = self.tracer
         return {
             "v": 1,
             "chain": self.chain,
@@ -348,10 +469,7 @@ class TelemetryAggregator:
             "frames_merged": self.frames_merged,
             "dropped_total": self.dropped_total,
             "registry": self.registry.snapshot_state(),
-            "tracer": (
-                self.tracer.snapshot_state()
-                if self.tracer is not None else None
-            ),
+            "tracer": tracer.snapshot_state() if tracer is not None else None,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -365,14 +483,26 @@ class TelemetryAggregator:
         self.frames_merged = int(state["frames_merged"])
         self.dropped_total = int(state["dropped_total"])
         self.registry.restore_state(state["registry"])
-        if state["tracer"] is not None:
-            if self.tracer is None:
-                self.tracer = RequestTracer(
-                    capacity=state["tracer"]["capacity"]
-                )
-            self.tracer.restore_state(state["tracer"])
-        else:
-            self.tracer = None
+        self._ring.clear()
+        self._ring_events = self._ring_appended = 0
+        self._ring_dropped_base = 0
+        tracer_state = state["tracer"]
+        if tracer_state is None:
+            self.retain = False
+            return
+        if not self.retain:
+            self.retain = True
+            self.capacity = tracer_state["capacity"]
+        # Validates the snapshot (version, capacity) like the eager ring.
+        tracer = RequestTracer(capacity=self.capacity)
+        tracer.restore_state(tracer_state)
+        events = tuple(
+            (e.now, e.track, i, e.kind, e.name, e.args)
+            for i, e in enumerate(tracer.events)
+        )
+        if events:
+            self._retain(len(events), (pickle.dumps((events,)),))
+        self._ring_dropped_base = tracer.dropped_events
 
 
 class ClusterObservability:

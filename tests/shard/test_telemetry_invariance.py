@@ -121,6 +121,52 @@ def test_merged_telemetry_survives_worker_sigkill():
     assert result.fingerprints == clean.fingerprints
     assert result.telemetry_summary == clean.telemetry_summary
     assert _query_surface(result) == _query_surface(clean)
+    assert _chrome(result) == _chrome(clean)
+
+
+def _chrome(result) -> str:
+    return result.observability.aggregator.to_chrome_json()
+
+
+def test_merged_chrome_trace_invariant_across_shard_counts():
+    """The exported merged trace, not only its fingerprint, is the same
+    for every shard count (and therefore worker layout)."""
+    chaos = dict(workload="chaos", n_machines=6, faults=2,
+                 fault_outage=0.3, duration=1.0)
+    baseline = _chrome(run_sharded(_config(5, 1, **chaos)))
+    assert '"traceEvents"' in baseline
+    for n in SHARD_COUNTS[1:]:
+        assert _chrome(run_sharded(_config(5, n, **chaos))) == baseline, n
+    two_workers = run_sharded(_config(5, 4, workers=2, **chaos))
+    assert _chrome(two_workers) == baseline
+
+
+@pytest.mark.parametrize("capacity", [65536, 200])
+def test_merged_chrome_trace_survives_a_barrier_checkpoint_resume(
+    capacity, tmp_path
+):
+    """Resuming the coordinator from any barrier checkpoint rebuilds the
+    retained ring exactly -- also when the ring has been trimmed."""
+    from repro.checkpoint import CheckpointManager
+    from repro.shard import ShardCheckpointPolicy, resume_sharded
+
+    config = _config(9, 2, telemetry_capacity=capacity, duration=1.0)
+    clean = run_sharded(config)
+    if capacity < 65536:
+        assert clean.observability.aggregator.tracer.dropped_events > 0
+    run_sharded(
+        config,
+        checkpoint=ShardCheckpointPolicy(directory=str(tmp_path), every=1),
+    )
+    indices = CheckpointManager(str(tmp_path)).indices()
+    assert indices
+    for index in indices:
+        resumed = resume_sharded(str(tmp_path), index=index)
+        assert resumed.resumed
+        assert resumed.telemetry_summary == clean.telemetry_summary, index
+        assert _chrome(resumed) == _chrome(clean), index
+        assert (resumed.observability.aggregator.snapshot_state()
+                == clean.observability.aggregator.snapshot_state()), index
 
 
 def test_frame_chain_digest_gates_replay():

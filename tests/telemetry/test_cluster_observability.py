@@ -7,6 +7,7 @@ behaviour is pinned independently of the sharded stack.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -43,10 +44,11 @@ def test_frame_wire_round_trip():
 def test_frame_rejects_corruption_and_bad_shape():
     frame = TelemetryFrame.build(0, 0, (), (), 0)
     wire = list(frame.to_wire())
-    wire[5] = 99  # flip the dropped count, keep the stale checksum
+    # Flip the dropped count inside the body, keep the stale checksum.
+    wire[3] = pickle.dumps(((), "", (), 99))
     with pytest.raises(FrameChecksumError, match="checksum mismatch"):
         TelemetryFrame.from_wire(tuple(wire))
-    with pytest.raises(FrameChecksumError, match="7-tuple"):
+    with pytest.raises(FrameChecksumError, match="5-tuple"):
         TelemetryFrame.from_wire(("tframe", 0, 0))
     with pytest.raises(FrameChecksumError, match="tag"):
         TelemetryFrame.from_wire(("bogus",) + frame.to_wire()[1:])
