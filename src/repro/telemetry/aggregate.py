@@ -64,7 +64,7 @@ from repro.fingerprint import chain, digest
 from .anomaly import AnomalyEngine, AnomalyThresholds, WindowInputs
 from .metrics import MetricsRegistry
 from .store import TelemetryStore
-from .tracer import KIND_INSTANT, RequestTracer, Telemetry, TraceSpanEvent
+from .tracer import KIND_INSTANT, RequestTracer, Telemetry, canonical_line
 
 #: Wire tag identifying a telemetry frame tuple.
 FRAME_TAG = "tframe"
@@ -83,12 +83,6 @@ class FrameChecksumError(ValueError):
 
 def _header_crc(shard_id: int, epoch_index: int) -> int:
     return zlib.crc32(repr((FRAME_TAG, shard_id, epoch_index)).encode())
-
-
-def _render(event: tuple) -> str:
-    """The canonical line of one ``(now, track, seq, kind, name, args)``."""
-    now, track, _seq, kind, name, args = event
-    return TraceSpanEvent(kind, now, track, name, tuple(args)).canonical()
 
 
 class TelemetryFrame:
@@ -141,11 +135,12 @@ class TelemetryFrame:
         events: tuple,
         metrics: tuple,
         dropped: int,
-        lines: Optional[str] = None,
     ) -> "TelemetryFrame":
-        """Construct a frame, rendering ``lines`` unless given."""
-        if lines is None:
-            lines = "\n".join(map(_render, events))
+        """Construct a frame, rendering each event's canonical line once."""
+        lines = "\n".join(
+            canonical_line(kind, now, track, name, args)
+            for now, track, _seq, kind, name, args in events
+        )
         body = pickle.dumps(
             (events, lines, metrics, dropped),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -295,26 +290,23 @@ class FrameDrain:
     def drain(self, shard_id: int, epoch_index: int) -> TelemetryFrame:
         """Drain everything recorded since the previous barrier."""
         tracer = self.telemetry.tracer
-        pairs = []
+        events = []
         for event in tracer.events:
             seq = self._seq.get(event.track, 0)
             self._seq[event.track] = seq + 1
-            pairs.append((
-                (event.now, event.track, seq, event.kind, event.name,
-                 event.args),
-                event.canonical(),
+            events.append((
+                event.now, event.track, seq, event.kind, event.name,
+                event.args,
             ))
         tracer.events.clear()
-        pairs.sort()  # by (now, track, seq): unique, so never by line
+        events.sort()  # by (now, track, seq): unique
         dropped = tracer.dropped_events - self._last_dropped
         self._last_dropped = tracer.dropped_events
         current = self.telemetry.registry.snapshot_state()["metrics"]
         deltas = metric_deltas(self._last_metrics, current)
         self._last_metrics = current
         frame = TelemetryFrame.build(
-            shard_id, epoch_index,
-            tuple(map(itemgetter(0), pairs)), deltas, dropped,
-            lines="\n".join(map(itemgetter(1), pairs)),
+            shard_id, epoch_index, tuple(events), deltas, dropped
         )
         self.frames += 1
         self.chain = chain(self.chain, [str(frame.value_checksum())])
@@ -337,8 +329,7 @@ class TelemetryAggregator:
     """Coordinator-side merge of per-shard telemetry frames.
 
     Per barrier, :meth:`ingest` does only C-level work per event: CRC
-    check and unpickle, one ``sorted()`` over ``(event, line)`` pairs
-    (skipped when one frame carries all the events), one
+    check and unpickle, one ``sorted()`` over ``(event, line)`` pairs, one
     :func:`~repro.fingerprint.chain` step over the merged worker-rendered
     lines, and an instant count.  It never builds a
     :class:`TraceSpanEvent`.
@@ -394,14 +385,11 @@ class TelemetryAggregator:
                 raise ValueError("chain() lines must not contain newlines")
             per_frame.append(lines)
             instant_counts.update(_instant_names(frame.events))
-        if len(carrying) == 1:
-            merged = per_frame[0]
-        else:
-            pairs = sorted(itertools.chain.from_iterable(
-                zip(frame.events, lines)
-                for frame, lines in zip(carrying, per_frame)
-            ))
-            merged = list(map(itemgetter(1), pairs))
+        pairs = sorted(itertools.chain.from_iterable(
+            zip(frame.events, lines)
+            for frame, lines in zip(carrying, per_frame)
+        ))
+        merged = list(map(itemgetter(1), pairs))
         self.events_merged += len(merged)
         self.chain = chain(self.chain, merged)
         if self.retain and merged:
@@ -423,12 +411,30 @@ class TelemetryAggregator:
         """The last ``capacity`` merged event tuples, decoded."""
         tail: deque = deque(maxlen=self.capacity)
         for _n, bodies in self._ring:
-            parts = [pickle.loads(body)[0] for body in bodies]
-            tail.extend(
-                parts[0] if len(parts) == 1
-                else sorted(itertools.chain.from_iterable(parts))
-            )
+            tail.extend(sorted(itertools.chain.from_iterable(
+                pickle.loads(body)[0] for body in bodies
+            )))
         return tail
+
+    def _tracer_state(self) -> dict:
+        """:meth:`RequestTracer.snapshot_state` of the decoded ring.
+
+        Written straight from the event tuples: no
+        :class:`TraceSpanEvent` is built, so a barrier checkpoint pays
+        only the decode.
+        """
+        return {
+            "v": 1,
+            "capacity": self.capacity,
+            "dropped_events": self._ring_dropped_base + max(
+                0, self._ring_appended - self.capacity
+            ),
+            "events": [
+                [kind, now, track, name, list(map(list, args))]
+                for now, track, _seq, kind, name, args in self._ring_tail()
+            ],
+            "open": {},
+        }
 
     @property
     def tracer(self) -> Optional[RequestTracer]:
@@ -436,13 +442,7 @@ class TelemetryAggregator:
         if not self.retain:
             return None
         tracer = RequestTracer(capacity=self.capacity)
-        tracer.events.extend(
-            TraceSpanEvent(kind, now, track, name, tuple(args))
-            for now, track, _seq, kind, name, args in self._ring_tail()
-        )
-        tracer.dropped_events = self._ring_dropped_base + max(
-            0, self._ring_appended - self.capacity
-        )
+        tracer.restore_state(self._tracer_state())
         return tracer
 
     def trace_fingerprint(self) -> str:
@@ -461,7 +461,6 @@ class TelemetryAggregator:
 
     # -- checkpoint protocol --------------------------------------------
     def snapshot_state(self) -> dict:
-        tracer = self.tracer
         return {
             "v": 1,
             "chain": self.chain,
@@ -469,7 +468,7 @@ class TelemetryAggregator:
             "frames_merged": self.frames_merged,
             "dropped_total": self.dropped_total,
             "registry": self.registry.snapshot_state(),
-            "tracer": tracer.snapshot_state() if tracer is not None else None,
+            "tracer": self._tracer_state() if self.retain else None,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -496,12 +495,19 @@ class TelemetryAggregator:
         # Validates the snapshot (version, capacity) like the eager ring.
         tracer = RequestTracer(capacity=self.capacity)
         tracer.restore_state(tracer_state)
-        events = tuple(
+        events = [
             (e.now, e.track, i, e.kind, e.name, e.args)
             for i, e in enumerate(tracer.events)
-        )
-        if events:
-            self._retain(len(events), (pickle.dumps((events,)),))
+        ]
+        # Snapshot order is merge order, which need not ascend in
+        # ``(now, track)`` across barriers.  Each ascending run becomes
+        # its own entry, so decoding sorts nothing out of place.
+        start = 0
+        for stop in range(1, len(events) + 1):
+            if stop == len(events) or events[stop][:2] < events[stop - 1][:2]:
+                run = tuple(events[start:stop])
+                self._retain(len(run), (pickle.dumps((run,)),))
+                start = stop
         self._ring_dropped_base = tracer.dropped_events
 
 

@@ -56,10 +56,20 @@ class TraceSpanEvent:
 
     def canonical(self) -> str:
         """The one-line rendering fingerprints hash (``repr`` values)."""
-        parts = [self.kind, repr(self.now), self.track, self.name]
-        for key, value in self.args:
-            parts.append(f"{key}={value!r}")
-        return "|".join(parts)
+        return canonical_line(
+            self.kind, self.now, self.track, self.name, self.args
+        )
+
+
+def canonical_line(
+    kind: str, now: float, track: str, name: str,
+    args: tuple[tuple[str, object], ...],
+) -> str:
+    """:meth:`TraceSpanEvent.canonical` of an event given field by field."""
+    parts = [kind, repr(now), track, name]
+    for key, value in args:
+        parts.append(f"{key}={value!r}")
+    return "|".join(parts)
 
 
 def _freeze_args(args: Optional[dict]) -> tuple[tuple[str, object], ...]:

@@ -4,7 +4,8 @@ The coordinator unpickles a frame body only after its CRC32 matched, so
 every corruption a pipe or a lossy channel could cause must be caught
 first.  The worker-side chain digest covers frame values, never body
 bytes.  The mechanism guards pin where the per-event work happens: one
-canonical rendering per event on the worker, none on the coordinator.
+canonical rendering per event on the worker, none on the coordinator,
+and no :class:`TraceSpanEvent` built before an export.
 """
 
 import pickle
@@ -20,6 +21,7 @@ from repro.telemetry import (
     TelemetryFrame,
     TraceSpanEvent,
 )
+from repro.telemetry import aggregate
 from repro.telemetry.aggregate import _header_crc
 
 
@@ -148,7 +150,7 @@ def test_drain_renders_each_event_exactly_once(monkeypatch):
     tracer.instant(0.1, "facility:m0", "meter.stale")
     tracer.counter(0.2, "request:m0/1", "energy", 3.5)
     tracer.end(0.3, "request:m0/1", "slice")
-    renders = _count_calls(monkeypatch, TraceSpanEvent, "canonical")
+    renders = _count_calls(monkeypatch, aggregate, "canonical_line")
     frame = FrameDrain(telemetry).drain(0, 0)
     assert renders["n"] == len(frame.events) == 4
     assert frame.lines.split("\n") == [
@@ -166,15 +168,18 @@ def test_ingest_builds_no_span_events_before_an_export(monkeypatch):
         for epoch in range(3) for shard in range(2)
     ]
     renders = _count_calls(monkeypatch, TraceSpanEvent, "canonical")
+    lines = _count_calls(monkeypatch, aggregate, "canonical_line")
     builds = _count_calls(monkeypatch, TraceSpanEvent, "__init__")
     agg = TelemetryAggregator(capacity=50)
     for epoch in range(3):
         counts = agg.ingest(frames[2 * epoch: 2 * epoch + 2])
         assert counts == {"shed": 60}
     assert agg.events_merged == 180
-    assert renders["n"] == 0
+    assert renders["n"] == lines["n"] == builds["n"] == 0
+    # A barrier checkpoint decodes the ring but builds no events.
+    assert len(agg.snapshot_state()["tracer"]["events"]) == 50
     assert builds["n"] == 0
     # Export decodes the retained ring, and only then builds events.
     assert len(agg.tracer.events) == 50
     assert builds["n"] == 50
-    assert renders["n"] == 0
+    assert renders["n"] == lines["n"] == 0
